@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import ConfigError, ImageTooSmall, InvalidIndex
 
@@ -87,13 +88,55 @@ def build_kernel(params: GaborParams, u: int, v: int) -> GaborKernel:
     return GaborKernel(u=u, v=v, real=cos_part - dc * envelope, imag=envelope * np.sin(phase))
 
 
-def build_bank(params: GaborParams) -> list[GaborKernel]:
-    """All U*V kernels in deterministic order: index p = (v-1)*U + u."""
-    return [
-        build_kernel(params, u, v)
-        for v in range(1, params.scales + 1)
-        for u in range(1, params.directions + 1)
-    ]
+@dataclass(frozen=True, eq=False)
+class GaborBank:
+    """The U*V kernels of one parameter set, a read-only sequence."""
+
+    params: GaborParams
+    kernels: tuple[GaborKernel, ...] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.kernels)
+
+    def __iter__(self):
+        return iter(self.kernels)
+
+    def __getitem__(self, p):
+        return self.kernels[p]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=8)
+def build_bank(params: GaborParams) -> GaborBank:
+    """All U*V kernels in deterministic order: index p = (v-1)*U + u.
+
+    Memoized per parameter set; the kernel arrays are read-only.
+    """
+    kernels = []
+    for v in range(1, params.scales + 1):
+        for u in range(1, params.directions + 1):
+            k = build_kernel(params, u, v)
+            _read_only(k.real)
+            _read_only(k.imag)
+            kernels.append(k)
+    return GaborBank(params=params, kernels=tuple(kernels))
+
+
+@lru_cache(maxsize=4)
+def kernel_spectra(params: GaborParams, fshape: tuple[int, int]) -> np.ndarray:
+    """Real-FFT spectra of every flipped kernel part, zero-padded to
+    ``fshape``: shape (U*V, 2, fshape[0], fshape[1]//2 + 1), real part at
+    index 0 and imaginary part at 1. Memoized; the array is read-only."""
+    bank = build_bank(params)
+    spectra = np.empty((len(bank), 2, fshape[0], fshape[1] // 2 + 1), dtype=np.complex128)
+    for p, kernel in enumerate(bank):
+        for part, taps in enumerate((kernel.real, kernel.imag)):
+            spectra[p, part] = sp_fft.rfftn(taps[::-1, ::-1], fshape, axes=(0, 1))
+    return _read_only(spectra)
 
 
 def _pad_reflect(image: np.ndarray, r: int) -> np.ndarray:
@@ -109,15 +152,16 @@ def _conv_direct(padded: np.ndarray, kernel: np.ndarray, out_shape: tuple[int, i
     return out
 
 
-def _conv_fft(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return fftconvolve(padded, kernel[::-1, ::-1], mode="valid")
-
-
-def decompose(image: np.ndarray, bank: list[GaborKernel], method: str = "fft") -> np.ndarray:
+def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.ndarray:
     """Magnitude subbands of an image: shape (len(bank), H, W).
 
     Filtering is same-size with reflect padding. ``method`` selects the FFT
     path (default) or the direct spatial path used as its oracle.
+
+    The FFT path takes one real FFT of the padded image and multiplies it by
+    each cached kernel spectrum. Its FFT length, product order and output
+    slice are those of ``scipy.signal.fftconvolve(padded, flipped_kernel,
+    "valid")``, so each plane is bitwise equal to two such convolutions.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -131,12 +175,19 @@ def decompose(image: np.ndarray, bank: list[GaborKernel], method: str = "fft") -
     r = (wl - 1) // 2
     padded = _pad_reflect(image, r)
     planes = np.empty((len(bank), *image.shape))
-    for p, kernel in enumerate(bank):
-        if method == "fft":
-            re = _conv_fft(padded, kernel.real)
-            im = _conv_fft(padded, kernel.imag)
-        else:
+    if method == "direct":
+        for p, kernel in enumerate(bank):
             re = _conv_direct(padded, kernel.real, image.shape)
             im = _conv_direct(padded, kernel.imag, image.shape)
+            planes[p] = np.hypot(re, im)
+        return planes
+
+    fshape = tuple(sp_fft.next_fast_len(n + wl - 1, real=True) for n in padded.shape)
+    spectrum = sp_fft.rfftn(padded, fshape, axes=(0, 1))
+    h, w = image.shape
+    valid = (slice(wl - 1, wl - 1 + h), slice(wl - 1, wl - 1 + w))
+    for p, (re_k, im_k) in enumerate(kernel_spectra(bank.params, fshape)):
+        re = sp_fft.irfftn(spectrum * re_k, fshape, axes=(0, 1))[valid]
+        im = sp_fft.irfftn(spectrum * im_k, fshape, axes=(0, 1))[valid]
         planes[p] = np.hypot(re, im)
     return planes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -118,12 +119,14 @@ def read_pgm(path: str) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise ManifestError(f"{path}: malformed PGM header") from None
-    if maxval > 255:
-        raise ManifestError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
+    if not 1 <= maxval <= 255:
+        raise ManifestError(f"{path}: maxval {maxval} outside 1..255 (only 8-bit PGM supported)")
     pos += 1  # single whitespace after maxval
     if len(data) - pos < width * height:
         raise ManifestError(f"{path}: truncated PGM pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    if pixels.max(initial=0) > maxval:
+        raise ManifestError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
     return pixels.reshape(height, width).copy()
 
 
@@ -157,7 +160,8 @@ def extract_feature(path: str, config: RunConfig, keypoints_dir: str | None = No
 def _extract_many(
     paths: list[str], config: RunConfig, keypoints_dir: str | None, jobs: int
 ) -> list[np.ndarray]:
-    if jobs <= 1 or len(paths) < 2:
+    jobs = min(jobs, len(paths), os.cpu_count() or 1)
+    if jobs <= 1:
         return [extract_feature(p, config, keypoints_dir) for p in paths]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(extract_feature, paths, [config] * len(paths), [keypoints_dir] * len(paths)))
@@ -172,8 +176,8 @@ def enroll(
     """Extract features for all gallery records, fit WPCA, standardize."""
     if len(records) < 2:
         raise DegenerateTrainingSet("enrollment needs at least 2 gallery records")
-    feats = _extract_many([r.path for r in records], config, keypoints_dir, jobs)
-    model = fit(np.vstack(feats), config.k_requested)
+    feats = np.vstack(_extract_many([r.path for r in records], config, keypoints_dir, jobs))
+    model = fit(feats, config.k_requested)
     standardized = np.vstack([zscore(project(model, f)) for f in feats])
     return Gallery(
         config=config,

@@ -27,36 +27,45 @@ class EigenDecomposition(NamedTuple):
 
 def _symmetrize(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    return 0.5 * (A + A.T)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _from_eig(V: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """V diag(fw) V^T, symmetrized, for matrices or stacks of them."""
+    return _symmetrize((V * fw[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
 def sym_eig(A: np.ndarray) -> EigenDecomposition:
-    """Eigendecompose a symmetric matrix, eigenvalues sorted descending."""
+    """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
+
+    A stack of matrices (leading axes) gives stacked results.
+    """
     A = _symmetrize(A)
     if not np.all(np.isfinite(A)):
         raise NonFinite("matrix contains NaN or Inf")
     w, V = np.linalg.eigh(A)
-    return EigenDecomposition(w[::-1].copy(), V[:, ::-1].copy())
+    return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
 
 
 def matrix_log(A: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Matrix logarithm of a symmetric (near-)SPD matrix.
+    """Matrix logarithm of a symmetric (near-)SPD matrix, or of each matrix
+    in a stack.
 
     Eigenvalues are clamped at ``floor`` before taking logs; by default the
-    floor is ``1e-12`` times the largest eigenvalue, which keeps numerically
-    singular covariance estimates usable.
+    floor is ``1e-12`` times the largest eigenvalue of each matrix, which
+    keeps numerically singular covariance estimates usable.
     """
     w, V = sym_eig(A)
     if floor is None:
-        floor = DEFAULT_LOG_FLOOR_REL * max(float(w[0]), 0.0)
-    if floor <= 0.0 and w[-1] <= 0.0:
+        floor = DEFAULT_LOG_FLOOR_REL * np.maximum(w[..., :1], 0.0)
+    if np.any((floor <= 0.0) & (w[..., -1:] <= 0.0)):
         raise NotPositiveDefinite("matrix has a non-positive eigenvalue and no floor")
     w = np.maximum(w, floor)
     if np.any(w <= 0.0):
         raise NotPositiveDefinite("matrix not positive definite after flooring")
-    return _symmetrize((V * np.log(w)) @ V.T)
+    return _from_eig(V, np.log(w))
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
@@ -66,22 +75,22 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
         E = np.exp(w)
     if not np.all(np.isfinite(E)):
         raise NonFinite("matrix exponential overflowed")
-    return _symmetrize((V * E) @ V.T)
+    return _from_eig(V, E)
 
 
 def matrix_sqrt(A: np.ndarray) -> np.ndarray:
     """Principal square root of an SPD matrix."""
     w, V = sym_eig(A)
-    if w[-1] <= 0.0:
+    if np.any(w[..., -1] <= 0.0):
         raise NotPositiveDefinite("matrix_sqrt requires a positive-definite input")
-    return _symmetrize((V * np.sqrt(w)) @ V.T)
+    return _from_eig(V, np.sqrt(w))
 
 
 def _check_pair(C1: np.ndarray, C2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     C1 = _symmetrize(C1)
     C2 = _symmetrize(C2)
-    if C1.shape != C2.shape:
-        raise DimensionMismatch(f"shapes differ: {C1.shape} vs {C2.shape}")
+    if C1.shape != C2.shape or C1.ndim != 2:
+        raise DimensionMismatch(f"expected two matrices of one shape: {C1.shape} vs {C2.shape}")
     return C1, C2
 
 
@@ -118,33 +127,35 @@ def embed_gaussian(mu: np.ndarray, C: np.ndarray, floor: float | None = None) ->
         B = log(M^{1/2}),  M = [[C + mu mu^T, mu], [mu^T, 1]],
 
     computed as B = (1/2) log M (identical for SPD M, one decomposition).
+    Stacks of Gaussians, ``mu`` (..., d) and ``C`` (..., d, d), give stacked
+    embeddings.
     """
-    mu = np.asarray(mu, dtype=np.float64).ravel()
+    mu = np.asarray(mu, dtype=np.float64)
     C = _symmetrize(C)
-    d = mu.shape[0]
-    if C.shape != (d, d):
-        raise DimensionMismatch(f"mean has dim {d} but covariance is {C.shape}")
+    d = mu.shape[-1]
+    if C.shape != mu.shape + (d,):
+        raise DimensionMismatch(f"mean has shape {mu.shape} but covariance is {C.shape}")
     if not np.all(np.isfinite(mu)):
         raise NonFinite("mean contains NaN or Inf")
-    M = np.empty((d + 1, d + 1))
-    M[:d, :d] = C + np.outer(mu, mu)
-    M[:d, d] = mu
-    M[d, :d] = mu
-    M[d, d] = 1.0
+    M = np.empty(mu.shape[:-1] + (d + 1, d + 1))
+    M[..., :d, :d] = C + mu[..., :, None] * mu[..., None, :]
+    M[..., :d, d] = mu
+    M[..., d, :d] = mu
+    M[..., d, d] = 1.0
     return 0.5 * matrix_log(M, floor=floor)
 
 
 def half_vectorize(A: np.ndarray) -> np.ndarray:
     """Upper-triangular vectorization (column-major scan) with sqrt(2)-scaled
-    off-diagonals.
+    off-diagonals; a stack of matrices gives one row per matrix.
 
     Preserves the Frobenius inner product, so Euclidean distances between
     half-vectorized matrices equal Frobenius distances between the matrices.
     """
     A = _symmetrize(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     # column-major upper triangle == row-major lower triangle for symmetric A
-    il = np.tril_indices(n)
-    v = A[il].copy()
-    v[il[0] != il[1]] *= math.sqrt(2.0)
+    rows, cols = np.tril_indices(n)
+    v = A[..., rows, cols]
+    v[..., rows != cols] *= math.sqrt(2.0)
     return v

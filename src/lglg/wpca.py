@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,15 @@ class ProjectionModel:
     def output_dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
+    @cached_property
     def whitened(self) -> np.ndarray:
-        """W = U D^{-1/2}; projection with W whitens the training set."""
-        return self.basis / np.sqrt(self.eigvals)
+        """W = U D^{-1/2}; projection with W whitens the training set.
+
+        Computed once per model; the array is read-only.
+        """
+        w = self.basis / np.sqrt(self.eigvals)
+        w.setflags(write=False)
+        return w
 
 
 def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
@@ -74,7 +80,8 @@ def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
     w = w[:k]
     if dim > n:
         # columns of Xc^T v / sqrt(n w) are the unit covariance eigenvectors
-        basis = Xc.T @ v[:, :k] / np.sqrt(n * w)
+        basis = Xc.T @ v[:, :k]
+        basis /= np.sqrt(n * w)  # in place: one (dim, k) temporary, not two
     else:
         basis = v[:, :k]
     return ProjectionModel(train_mean=mean, basis=basis, eigvals=w.copy())

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from lglg.cli import main
+from lglg.pipeline import load_manifest
 from lglg.synthetic import write_benchmark
 
 CONFIG_TEXT = """\
@@ -78,6 +81,26 @@ class TestEnroll:
              "--manifest", small_dataset[0], "--out", str(tmp_path / "m.bin")]
         )
         assert code == 4
+
+    def test_non_finite_keypoint_exits_3(self, small_dataset, tmp_path, capsys):
+        gallery_manifest, _ = small_dataset
+        cfg = tmp_path / "kp.cfg"
+        cfg.write_text("mode=keypoint\nblock_size=15\nkeypoint_count=2\nk_requested=4\n")
+        kp_dir = tmp_path / "kp"
+        kp_dir.mkdir()
+        stems = [Path(rec.path).stem for rec in load_manifest(gallery_manifest)]
+        for stem in stems:
+            (kp_dir / f"{stem}.txt").write_text("20 20\n40 40\n")
+        bad = kp_dir / f"{stems[1]}.txt"
+        bad.write_text("20 20\nnan 3\n")
+        code = main(
+            ["enroll", "--config", str(cfg), "--manifest", gallery_manifest,
+             "--out", str(tmp_path / "m.bin"), "--keypoints-dir", str(kp_dir)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and f"{bad}:2: non-finite" in err
+        assert err.count("\n") == 1
 
 
 class TestIdentify:

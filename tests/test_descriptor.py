@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_spd
-from lglg import descriptor
+from lglg import descriptor, spd
 from lglg.config import RunConfig
 from lglg.descriptor import (
     GaussianDescriptor,
@@ -17,7 +17,9 @@ from lglg.descriptor import (
     load_keypoints,
     partition_blocks,
 )
-from lglg.errors import BlockTooLarge, KeypointError, TooFewSamples
+from lglg.errors import BlockTooLarge, KeypointError, NonFinite, NotPositiveDefinite, TooFewSamples
+from lglg.gabor import build_bank, decompose
+from lglg.preprocess import preprocess_chain
 
 
 class TestPartitionBlocks:
@@ -80,6 +82,13 @@ class TestLoadKeypoints:
         p.write_text("3 4 5\n")
         with pytest.raises(KeypointError):
             load_keypoints(str(p), 1)
+
+    @pytest.mark.parametrize("line", ["nan 3", "3 inf", "-inf 2"])
+    def test_non_finite_coordinate(self, tmp_path, line):
+        p = tmp_path / "a.txt"
+        p.write_text(f"1 2\n{line}\n")
+        with pytest.raises(KeypointError, match=f"{p}:2: non-finite"):
+            load_keypoints(str(p), 2)
 
 
 class TestEstimateGaussian:
@@ -179,3 +188,115 @@ class TestImageFeature:
         d0 = np.linalg.norm(feat(stack1) - feat(stack2))
         d1 = np.linalg.norm(feat(stack1[perm]) - feat(stack2[perm]))
         assert abs(d0 - d1) < 1e-10
+
+
+def gaussian_oracle(block, ridge_scale):
+    """One block's Gaussian computed the way the per-block loop did before
+    blocks were stacked, with 2-D arrays only."""
+    d = block.shape[0]
+    samples = block.reshape(d, -1).T
+    n = samples.shape[0]
+    mu = samples.mean(axis=0)
+    centered = samples - mu
+    cov = centered.T @ centered / n
+    cov = 0.5 * (cov + cov.T)
+    ridge = ridge_scale * np.trace(cov) / d
+    return mu, cov + ridge * np.eye(d)
+
+
+def per_block_oracle(block, ridge_scale):
+    """One block's feature computed the way the per-block loop did before
+    blocks were stacked: 2-D arrays only, eigenpairs reversed to descending
+    order before the logarithm."""
+    d = block.shape[0]
+    mu, cov = gaussian_oracle(block, ridge_scale)
+    cov = 0.5 * (cov + cov.T)
+    m = np.empty((d + 1, d + 1))
+    m[:d, :d] = cov + np.outer(mu, mu)
+    m[:d, d] = mu
+    m[d, :d] = mu
+    m[d, d] = 1.0
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    w = np.maximum(w, 1e-12 * max(float(w[0]), 0.0))
+    log_m = (v * np.log(w)) @ v.T
+    b = 0.5 * (0.5 * (log_m + log_m.T))
+    b = 0.5 * (b + b.T)
+    il = np.tril_indices(d + 1)
+    out = b[il].copy()
+    out[il[0] != il[1]] *= math.sqrt(2.0)
+    return out
+
+
+def per_block_feature(image, cfg, keypoints=None):
+    """``image_feature`` as a loop of single-block calls."""
+    pre = preprocess_chain(image, cfg.preprocess_params())
+    planes = decompose(pre, build_bank(cfg.gabor_params()))
+    bs = cfg.block_size
+    if keypoints is None:
+        rects = partition_blocks(image.shape, bs).rects()
+    else:
+        rects = keypoint_blocks(image.shape, keypoints, bs)
+    blocks = [planes[:, top : top + bs, left : left + bs] for top, left in rects]
+    return np.concatenate([block_feature(estimate_gaussian(b, cfg.ridge_scale)) for b in blocks])
+
+
+class TestStackedBitwise:
+    def test_single_block_matches_oracle(self, rng):
+        for d, side in [(32, 15), (6, 11), (6, 4), (40, 21), (7, 3)]:
+            block = rng.uniform(0.0, 1.0, (d, side, side))
+            for ridge_scale in (1e-4, 0.0, 0.37):
+                g = estimate_gaussian(block, ridge_scale)
+                mu, cov = gaussian_oracle(block, ridge_scale)
+                assert np.array_equal(g.mu, mu) and np.array_equal(g.cov, cov)
+                assert np.array_equal(block_feature(g), per_block_oracle(block, ridge_scale))
+
+    @pytest.mark.parametrize("block_size", [11, 15, 21])
+    def test_grid_equals_per_block(self, rng, block_size):
+        cfg = RunConfig(block_size=block_size)
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        assert np.array_equal(image_feature(image, cfg), per_block_feature(image, cfg))
+
+    def test_grid_more_blocks_than_one_chunk(self, rng):
+        cfg = RunConfig(directions=3, scales=2, block_size=7)
+        image = rng.uniform(0.0, 1.0, (80, 72))
+        assert len(partition_blocks(image.shape, 7).rects()) > descriptor.BLOCK_CHUNK
+        assert np.array_equal(image_feature(image, cfg), per_block_feature(image, cfg))
+
+    def test_keypoints_overlapping_and_clamped(self, rng):
+        cfg = RunConfig(mode="keypoint", block_size=22)
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        # two overlapping blocks, two clamped into opposite corners, one off-image
+        points = [(30.0, 30.0), (33.0, 31.0), (0.0, 0.0), (63.0, 63.0), (-9.0, 70.0)]
+        feat = image_feature(image, cfg, keypoints=points)
+        assert np.array_equal(feat, per_block_feature(image, cfg, points))
+        rects = keypoint_blocks(image.shape, points, 22)
+        assert rects[2] == (0, 0) and rects[3] == (42, 42) and rects[4] == (42, 0)
+
+    def test_stack_too_few_samples(self, rng):
+        with pytest.raises(TooFewSamples):
+            image_feature(rng.uniform(0.0, 1.0, (32, 32)), RunConfig(block_size=1))
+        with pytest.raises(TooFewSamples):
+            estimate_gaussian(np.zeros((5, 3, 1, 1)))
+
+    def test_stack_with_nan_raises(self, rng):
+        blocks = rng.uniform(0.0, 1.0, (4, 6, 5, 5))
+        g = estimate_gaussian(blocks)
+        cov = g.cov.copy()
+        cov[2, 1, 3] = np.nan
+        with pytest.raises(NonFinite):
+            block_feature(GaussianDescriptor(mu=g.mu, cov=cov))
+        mu = g.mu.copy()
+        mu[3, 0] = np.inf
+        with pytest.raises(NonFinite):
+            block_feature(GaussianDescriptor(mu=mu, cov=g.cov))
+        blocks[1, 0, 2, 2] = np.nan
+        with pytest.raises(NonFinite):
+            block_feature(estimate_gaussian(blocks))
+
+    def test_stack_with_indefinite_matrix_raises(self, rng):
+        stack = np.stack([random_spd(rng, 4), np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)])
+        with pytest.raises(NotPositiveDefinite):
+            spd.matrix_log(stack, floor=0.0)
+        # each matrix gets its own relative floor
+        assert np.array_equal(spd.matrix_log(stack)[0], spd.matrix_log(stack[0]))

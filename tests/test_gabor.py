@@ -131,3 +131,55 @@ class TestDecompose:
         a = decompose(image, bank)
         b = decompose(-image, bank)
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+def fftconvolve_reference(image, bank):
+    """The per-kernel path the shared-spectrum FFT path replaced: two
+    ``scipy.signal.fftconvolve`` calls per kernel, then the magnitude."""
+    from scipy.signal import fftconvolve
+
+    wl = bank[0].real.shape[0]
+    padded = np.pad(image, (wl - 1) // 2, mode="symmetric")
+    planes = np.empty((len(bank), *image.shape))
+    for p, kernel in enumerate(bank):
+        re = fftconvolve(padded, kernel.real[::-1, ::-1], mode="valid")
+        im = fftconvolve(padded, kernel.imag[::-1, ::-1], mode="valid")
+        planes[p] = np.hypot(re, im)
+    return planes
+
+
+class TestDecomposeBitwise:
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 50)])
+    @pytest.mark.parametrize(
+        "params", [GaborParams(), GaborParams(directions=3, scales=2, window_len=7)],
+        ids=["8x4-w9", "3x2-w7"],
+    )
+    def test_equals_per_kernel_fftconvolve(self, rng, shape, params):
+        bank = build_bank(params)
+        for image in (rng.uniform(0.0, 1.0, shape), 3.0 * rng.standard_normal(shape)):
+            assert np.array_equal(decompose(image, bank), fftconvolve_reference(image, bank))
+
+
+class TestCaches:
+    def test_bank_memoized_by_value(self):
+        assert build_bank(GaborParams(directions=3, scales=2)) is build_bank(
+            GaborParams(directions=3, scales=2)
+        )
+        assert build_bank(GaborParams(directions=3, scales=2)) is not build_bank(
+            GaborParams(directions=3, scales=2, window_len=7)
+        )
+
+    def test_bank_arrays_read_only(self):
+        for k in build_bank(GaborParams()):
+            assert not k.real.flags.writeable and not k.imag.flags.writeable
+        with pytest.raises(ValueError):
+            build_bank(GaborParams())[0].real[0, 0] = 1.0
+
+    def test_spectra_read_only_and_memoized(self):
+        p = GaborParams(directions=3, scales=2, window_len=7)
+        spectra = gabor.kernel_spectra(p, (48, 60))
+        assert spectra.shape == (6, 2, 48, 31)
+        assert not spectra.flags.writeable
+        with pytest.raises(ValueError):
+            spectra[0, 0, 0, 0] = 0.0
+        assert gabor.kernel_spectra(GaborParams(directions=3, scales=2, window_len=7), (48, 60)) is spectra

@@ -80,6 +80,59 @@ class TestPgm:
         with pytest.raises(ManifestError):
             read_pgm(str(p))
 
+    def test_rejects_maxval_zero(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_bytes(b"P5\n2 1\n0\n\x00\x00")
+        with pytest.raises(ManifestError, match="maxval 0"):
+            read_pgm(str(p))
+
+    def test_rejects_pixels_above_maxval(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_bytes(b"P5\n2 2\n15\n\x00\x0f\xc8\xff")
+        with pytest.raises(ManifestError, match="exceeds maxval 15"):
+            read_pgm(str(p))
+
+    def test_accepts_pixels_up_to_maxval(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_bytes(b"P5\n2 1\n15\n\x00\x0f")
+        assert np.array_equal(read_pgm(str(p)), [[0, 15]])
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestJobsClamp:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        RecordingExecutor.max_workers = []
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp: path)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 4)
+        return RecordingExecutor.max_workers
+
+    @pytest.mark.parametrize(
+        "n_paths,jobs,expected", [(3, 1000, [3]), (10, 1000, [4]), (10, 2, [2]), (10, 1, []), (1, 8, [])]
+    )
+    def test_max_workers(self, recorded, n_paths, jobs, expected):
+        paths = [f"img{i}.pgm" for i in range(n_paths)]
+        assert pipeline._extract_many(paths, RunConfig(), None, jobs) == paths
+        assert recorded == expected
+
 
 class TestEnroll:
     def test_gallery_shape(self, benchmark_gallery):

@@ -212,3 +212,21 @@ class TestHalfVectorize:
     def test_norm_preservation_property(self, raw):
         a = 0.5 * (raw + raw.T)
         assert abs(np.linalg.norm(spd.half_vectorize(a)) - np.linalg.norm(a, "fro")) < 1e-9
+
+
+class TestStacks:
+    def test_stacked_equals_per_matrix(self, rng):
+        stack = np.stack([random_spd(rng, 6, eig_range=(0.1, 10.0)) for _ in range(5)])
+        for f in (spd.matrix_log, spd.matrix_exp, spd.matrix_sqrt, spd.half_vectorize):
+            out = f(stack)
+            for i in range(len(stack)):
+                assert np.array_equal(out[i], f(stack[i]))
+        w, v = spd.sym_eig(stack)
+        for i in range(len(stack)):
+            wi, vi = spd.sym_eig(stack[i])
+            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+
+    def test_distances_reject_stacks(self, rng):
+        stack = np.stack([random_spd(rng, 3), random_spd(rng, 3)])
+        with pytest.raises(DimensionMismatch):
+            spd.log_euclidean_distance(stack, stack)

@@ -69,6 +69,13 @@ class TestProject:
         rhs = a * wpca.project(model, x1) + (1 - a) * wpca.project(model, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    def test_whitened_computed_once_read_only(self, rng):
+        model = wpca.fit(rng.standard_normal((10, 50)), 5)
+        w = model.whitened
+        assert model.whitened is w
+        assert np.array_equal(w, model.basis / np.sqrt(model.eigvals))
+        assert not w.flags.writeable
+
     def test_dimension_mismatch(self, rng):
         model = wpca.fit(rng.standard_normal((10, 50)), 5)
         with pytest.raises(DimensionMismatch):
