@@ -1,49 +1,6 @@
 """Gabor Log-Euclidean Gaussian texture features with WPCA identification."""
 
 from .config import RunConfig
-from .descriptor import GaussianDescriptor, block_feature, image_feature
-from .gabor import GaborParams, build_bank, decompose
-from .pipeline import Gallery, MatchResult, enroll, identify, load_model, rank_accuracy, save_model
-from .preprocess import PreprocessParams, preprocess_chain
-from .spd import (
-    embed_gaussian,
-    half_vectorize,
-    log_euclidean_distance,
-    matrix_exp,
-    matrix_log,
-    matrix_sqrt,
-    riemannian_distance,
-    sym_eig,
-)
-from .wpca import ProjectionModel, fit, project, zscore
+from .pipeline import enroll, identify, rank_accuracy
 
-__all__ = [
-    "RunConfig",
-    "GaussianDescriptor",
-    "block_feature",
-    "image_feature",
-    "GaborParams",
-    "build_bank",
-    "decompose",
-    "Gallery",
-    "MatchResult",
-    "enroll",
-    "identify",
-    "load_model",
-    "rank_accuracy",
-    "save_model",
-    "PreprocessParams",
-    "preprocess_chain",
-    "embed_gaussian",
-    "half_vectorize",
-    "log_euclidean_distance",
-    "matrix_exp",
-    "matrix_log",
-    "matrix_sqrt",
-    "riemannian_distance",
-    "sym_eig",
-    "ProjectionModel",
-    "fit",
-    "project",
-    "zscore",
-]
+__all__ = ["RunConfig", "enroll", "identify", "rank_accuracy"]

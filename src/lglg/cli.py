@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 
 from . import pipeline
-from .config import RunConfig, coerce_value, load_config
+from .config import coerce_value, load_config, read_key_values, read_text
 from .errors import ConfigError, LglgError
 
 EXIT_CONFIG = 2
@@ -59,36 +60,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def parse_grid_file(path: str) -> list[tuple[str, list[object]]]:
     """``key=v1,v2,...`` lines; returns (key, values) in file order."""
-    grid: list[tuple[str, list[object]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=v1,v2,...")
-            key, _, values = line.partition("=")
-            key = key.strip()
-            parsed = [coerce_value(key, v.strip()) for v in values.split(",") if v.strip()]
-            if not parsed:
-                raise ConfigError(f"{path}:{lineno}: no values for {key}")
-            grid.append((key, parsed))
-    return grid
+    grid: dict[str, list[object]] = {}
+    for where, key, values in read_key_values(read_text(path), path):
+        if key in grid:
+            raise ConfigError(f"{where}: {key} given twice")
+        grid[key] = [coerce_value(key, v.strip()) for v in values.split(",") if v.strip()]
+        if not grid[key]:
+            raise ConfigError(f"{where}: no values for {key}")
+    return list(grid.items())
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import dataclasses
-
     base = load_config(args.config)
     grid = parse_grid_file(args.grid)
+    keys = [k for k, _ in grid]
+    combos = list(itertools.product(*[vs for _, vs in grid])) if grid else [()]
+    configs = [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
     gallery_records = pipeline.load_manifest(args.gallery_manifest)
     probe_records = pipeline.load_manifest(args.probe_manifest)
 
-    keys = [k for k, _ in grid]
-    combos = list(itertools.product(*[vs for _, vs in grid])) if grid else [()]
     lines = [",".join(keys + ["acc"])]
-    for combo in combos:
-        config = dataclasses.replace(base, **dict(zip(keys, combo)))
+    for combo, config in zip(combos, configs):
         gallery = pipeline.enroll(
             gallery_records, config, keypoints_dir=args.keypoints_dir, jobs=args.jobs
         )

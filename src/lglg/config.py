@@ -2,8 +2,6 @@
 pipeline, loadable from ``key=value`` text files and packable to the
 fixed-width binary block stored in model files."""
 
-from __future__ import annotations
-
 import dataclasses
 import hashlib
 import math
@@ -16,17 +14,15 @@ from .preprocess import PreprocessParams
 
 MODE_GRID = "grid"
 MODE_KEYPOINT = "keypoint"
-
-# directions, scales, sigma_pi, k_max_pi, spacing, window_len,
-# gamma, dog_sigma_inner, dog_sigma_outer, contrast_alpha, contrast_tau,
-# mode, block_size, keypoint_count, ridge_scale  -- then k_requested
-_FEATURE_STRUCT = struct.Struct("<IIdddIdddddBIId")
-_K_STRUCT = struct.Struct("<I")
-CONFIG_BLOCK_SIZE = _FEATURE_STRUCT.size + _K_STRUCT.size
+_MODES = (MODE_GRID, MODE_KEYPOINT)  # a mode packs as its index here
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    # The field order and types are the binary config block of model files
+    # (int -> u32, float -> f64, str -> u8 mode index, little-endian).
+    # k_requested stays last: the feature fingerprint hashes every byte
+    # before it.
     directions: int = 8
     scales: int = 4
     sigma_pi: float = 1.0          # sigma as a multiple of pi
@@ -45,16 +41,22 @@ class RunConfig:
     k_requested: int = 1196
 
     def __post_init__(self):
-        if self.mode not in (MODE_GRID, MODE_KEYPOINT):
+        if self.mode not in _MODES:
             raise ConfigError(f"mode must be '{MODE_GRID}' or '{MODE_KEYPOINT}'")
+        for f in _FIELDS:
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type is int and not 0 <= value <= 0xFFFFFFFF:
+                raise ConfigError(f"{f.name} must be in 0..4294967295, got {value}")
         if self.block_size < 1:
             raise ConfigError("block_size must be positive")
         if self.keypoint_count < 1:
             raise ConfigError("keypoint_count must be positive")
         if self.ridge_scale < 0.0:
             raise ConfigError("ridge_scale must be nonnegative")
-        if self.k_requested < 1:
-            raise ConfigError("k_requested must be positive")
+        if self.k_requested < 2:
+            raise ConfigError("k_requested must be at least 2 (z-scoring needs 2 components)")
         # constructing the stage params validates their fields
         self.gabor_params()
         self.preprocess_params()
@@ -78,102 +80,84 @@ class RunConfig:
             contrast_tau=self.contrast_tau,
         )
 
-    def pack_features(self) -> bytes:
-        """Fixed-width little-endian block of every feature-relevant field."""
-        return _FEATURE_STRUCT.pack(
-            self.directions,
-            self.scales,
-            self.sigma_pi,
-            self.k_max_pi,
-            self.spacing,
-            self.window_len,
-            self.gamma,
-            self.dog_sigma_inner,
-            self.dog_sigma_outer,
-            self.contrast_alpha,
-            self.contrast_tau,
-            0 if self.mode == MODE_GRID else 1,
-            self.block_size,
-            self.keypoint_count,
-            self.ridge_scale,
-        )
-
     def pack(self) -> bytes:
-        return self.pack_features() + _K_STRUCT.pack(self.k_requested)
+        return _STRUCT.pack(*(
+            _MODES.index(value) if f.type is str else value
+            for f, value in zip(_FIELDS, dataclasses.astuple(self))
+        ))
 
     @classmethod
     def unpack(cls, blob: bytes) -> "RunConfig":
         if len(blob) != CONFIG_BLOCK_SIZE:
             raise ConfigError(f"config block has {len(blob)} bytes, expected {CONFIG_BLOCK_SIZE}")
-        f = _FEATURE_STRUCT.unpack(blob[: _FEATURE_STRUCT.size])
-        (k_requested,) = _K_STRUCT.unpack(blob[_FEATURE_STRUCT.size :])
-        return cls(
-            directions=f[0],
-            scales=f[1],
-            sigma_pi=f[2],
-            k_max_pi=f[3],
-            spacing=f[4],
-            window_len=f[5],
-            gamma=f[6],
-            dog_sigma_inner=f[7],
-            dog_sigma_outer=f[8],
-            contrast_alpha=f[9],
-            contrast_tau=f[10],
-            mode=MODE_GRID if f[11] == 0 else MODE_KEYPOINT,
-            block_size=f[12],
-            keypoint_count=f[13],
-            ridge_scale=f[14],
-            k_requested=k_requested,
-        )
+        values = {}
+        for f, value in zip(_FIELDS, _STRUCT.unpack(blob)):
+            if f.type is str:
+                if value >= len(_MODES):
+                    raise ConfigError(f"unknown {f.name} code {value}")
+                value = _MODES[value]
+            values[f.name] = value
+        return cls(**values)
 
     def feature_fingerprint(self) -> str:
         """Hash of the extraction-relevant fields (k_requested excluded)."""
-        return hashlib.sha256(self.pack_features()).hexdigest()
-
-    def num_subbands(self) -> int:
-        return self.directions * self.scales
-
-    def local_feature_length(self) -> int:
-        d = self.num_subbands()
-        return (d + 1) * (d + 2) // 2
+        return hashlib.sha256(self.pack()[:_FEATURE_BYTES]).hexdigest()
 
 
-_INT_FIELDS = {"directions", "scales", "window_len", "block_size", "keypoint_count", "k_requested"}
-_STR_FIELDS = {"mode"}
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELDS = dataclasses.fields(RunConfig)
+_TYPES = {f.name: f.type for f in _FIELDS}
+_STRUCT = struct.Struct("<" + "".join({int: "I", float: "d", str: "B"}[f.type] for f in _FIELDS))
+CONFIG_BLOCK_SIZE = _STRUCT.size
+_FEATURE_BYTES = struct.calcsize(_STRUCT.format[:-1])  # all but k_requested
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key=value`` lines (``#`` comments, blank lines allowed)."""
-    values: dict[str, object] = {}
+def read_key_values(text: str, source: str) -> list[tuple[str, str, str]]:
+    """``(source:line, key, value)`` for each ``key=value`` line of ``text``.
+
+    ``#`` starts a comment and blank lines are skipped; every key must be a
+    :class:`RunConfig` field."""
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
+        where = f"{source}:{lineno}"
+        key, sep, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _FIELD_NAMES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = coerce_value(key, value)
-    if base is not None:
-        return dataclasses.replace(base, **values)
-    return RunConfig(**values)
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value, got {raw!r}")
+        if key not in _TYPES:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        entries.append((where, key, value.strip()))
+    return entries
 
 
 def coerce_value(key: str, value: str) -> object:
-    if key in _STR_FIELDS:
-        return value
+    """``value`` converted to the type of the RunConfig field ``key``."""
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        return float(value)
+        return _TYPES[key](value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+def read_text(path: str) -> str:
+    """The text of a UTF-8 config or grid file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse(text: str, source: str) -> RunConfig:
+    return RunConfig(**{key: coerce_value(key, value) for _, key, value in read_key_values(text, source)})
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse ``key=value`` lines (``#`` comments, blank lines allowed)."""
+    return _parse(text, "<config>")
+
+
+def load_config(path: str) -> RunConfig:
+    return _parse(read_text(path), path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import struct
@@ -16,6 +17,7 @@ from .config import CONFIG_BLOCK_SIZE, MODE_KEYPOINT, RunConfig
 from .descriptor import image_feature, load_keypoints
 from .errors import (
     ChecksumMismatch,
+    ConfigError,
     ConfigMismatch,
     DegenerateTrainingSet,
     ExtractionError,
@@ -178,6 +180,11 @@ def enroll(
         raise DegenerateTrainingSet("enrollment needs at least 2 gallery records")
     feats = np.vstack(_extract_many([r.path for r in records], config, keypoints_dir, jobs))
     model = fit(feats, config.k_requested)
+    if model.output_dim < 2:
+        raise DegenerateTrainingSet(
+            f"WPCA kept {model.output_dim} component(s) from {len(records)} gallery records; "
+            "z-scoring needs at least 2, so enroll at least 3 records with distinct features"
+        )
     standardized = np.vstack([zscore(project(model, f)) for f in feats])
     return Gallery(
         config=config,
@@ -252,27 +259,41 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 def save_model(gallery: Gallery, path: str) -> None:
     """Binary model file: magic, version, config block, dims, WPCA state,
-    standardized entries, trailing CRC-32 of everything before it."""
+    standardized entries, trailing CRC-32 of everything before it.
+
+    The file is written under a temporary name in the same directory and
+    renamed over ``path``, so readers never see a partial model."""
+    sids = [s.encode("utf-8") for s in gallery.subject_ids]
+    for subject_id, sid in zip(gallery.subject_ids, sids):
+        if len(sid) > 0xFFFF:
+            raise ModelFormatError(
+                f"subject id {subject_id[:40]!r}... has {len(sid)} UTF-8 bytes, at most 65535 fit"
+            )
     model = gallery.model
-    n = len(gallery.subject_ids)
     parts = [
         MODEL_MAGIC,
         struct.pack("<H", MODEL_VERSION),
         gallery.config.pack(),
-        struct.pack("<III", model.input_dim, model.output_dim, n),
+        struct.pack("<III", model.input_dim, model.output_dim, len(sids)),
         _pack_array(model.train_mean),
         _pack_array(model.basis),
         _pack_array(model.eigvals),
     ]
-    for subject_id, feat in zip(gallery.subject_ids, gallery.features):
-        sid = subject_id.encode("utf-8")
+    for sid, feat in zip(sids, gallery.features):
         parts.append(struct.pack("<H", len(sid)))
         parts.append(sid)
         parts.append(_pack_array(feat))
     body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path: str) -> Gallery:
@@ -288,28 +309,42 @@ def load_model(path: str) -> Gallery:
     (version,) = struct.unpack("<H", body[4:6])
     if version != MODEL_VERSION:
         raise FormatVersionMismatch(f"{path}: format version {version}, expected {MODEL_VERSION}")
+    view = memoryview(body)
     pos = 6
-    config = RunConfig.unpack(body[pos : pos + CONFIG_BLOCK_SIZE])
-    pos += CONFIG_BLOCK_SIZE
-    input_dim, k, n = struct.unpack("<III", body[pos : pos + 12])
-    pos += 12
+
+    def take(size: int) -> memoryview:
+        nonlocal pos
+        if size > len(body) - pos:
+            raise ModelFormatError(f"{path}: truncated: {size} bytes needed at offset {pos}")
+        pos += size
+        return view[pos - size : pos]
 
     def take_floats(count: int) -> np.ndarray:
-        nonlocal pos
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=pos)
-        pos += 8 * count
-        return arr.astype(np.float64)
+        return np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
 
+    try:
+        config = RunConfig.unpack(take(CONFIG_BLOCK_SIZE))
+    except ConfigError as exc:
+        raise ModelFormatError(f"{path}: config block: {exc}") from exc
+    input_dim, k, n = struct.unpack("<III", take(12))
+    # every entry holds at least its 2-byte id length and k floats
+    need = 8 * (input_dim * (k + 1) + k) + n * (2 + 8 * k)
+    if need > len(body) - pos:
+        raise ModelFormatError(
+            f"{path}: dims {input_dim}x{k} with {n} entries need at least {need} bytes, "
+            f"{len(body) - pos} left"
+        )
     train_mean = take_floats(input_dim)
     basis = take_floats(input_dim * k).reshape(input_dim, k)
     eigvals = take_floats(k)
     subject_ids = []
     features = np.empty((n, k))
     for i in range(n):
-        (sid_len,) = struct.unpack("<H", body[pos : pos + 2])
-        pos += 2
-        subject_ids.append(body[pos : pos + sid_len].decode("utf-8"))
-        pos += sid_len
+        (sid_len,) = struct.unpack("<H", take(2))
+        try:
+            subject_ids.append(str(take(sid_len), "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: entry {i}: subject id is not UTF-8") from exc
         features[i] = take_floats(k)
     if pos != len(body):
         raise ModelFormatError(f"{path}: trailing bytes after entries")

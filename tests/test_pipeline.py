@@ -1,19 +1,25 @@
 import dataclasses
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglg import pipeline
-from lglg.config import RunConfig
+from lglg.cli import main
+from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.errors import (
     ChecksumMismatch,
     ConfigMismatch,
     DegenerateTrainingSet,
     ExtractionError,
     FormatVersionMismatch,
+    LglgError,
     ManifestError,
     MissingGroundTruth,
+    ModelFormatError,
 )
 from lglg.pipeline import (
     MatchResult,
@@ -25,6 +31,7 @@ from lglg.pipeline import (
     save_model,
     write_pgm,
 )
+from lglg.wpca import ProjectionModel
 
 
 class TestManifest:
@@ -278,3 +285,99 @@ class TestPersistence:
         records = pipeline.load_manifest(benchmark_dataset[0])
         with pytest.raises(ConfigMismatch):
             identify(loaded, records[0].path, other)
+
+
+def test_enroll_two_records_explains_kept_components(benchmark_dataset, default_config):
+    records = pipeline.load_manifest(benchmark_dataset[0])[:2]
+    with pytest.raises(DegenerateTrainingSet, match="kept 1 component"):
+        pipeline.enroll(records, default_config)
+
+
+DIMS_AT = 6 + CONFIG_BLOCK_SIZE  # magic, version, config block
+
+
+def tiny_gallery(subject_ids=("a", "b", "c")):
+    rng = np.random.default_rng(3)
+    model = ProjectionModel(
+        train_mean=rng.standard_normal(5), basis=rng.standard_normal((5, 2)),
+        eigvals=np.array([2.0, 1.0]),
+    )
+    return pipeline.Gallery(
+        config=RunConfig(k_requested=2), model=model, subject_ids=list(subject_ids),
+        features=rng.standard_normal((len(subject_ids), 2)),
+    )
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestModelFile:
+    @pytest.fixture
+    def body(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(tiny_gallery(), str(p))
+        return p.read_bytes()[:-4]
+
+    @pytest.mark.parametrize("field, value", [
+        (0, 6), (0, 0xFFFFFFFF), (1, 3), (1, 0xFFFFFFFF), (2, 4), (2, 0xFFFFFFFF),
+    ])
+    def test_bogus_dims(self, body, tmp_path, field, value):
+        dims = list(struct.unpack_from("<III", body, DIMS_AT))
+        dims[field] = value
+        p = tmp_path / "bad.bin"
+        p.write_bytes(with_crc(body[:DIMS_AT] + struct.pack("<III", *dims) + body[DIMS_AT + 12:]))
+        with pytest.raises(ModelFormatError, match=str(p)):
+            load_model(str(p))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda b: b[:DIMS_AT + 6],                                       # header cut short
+        lambda b: b[:DIMS_AT - 21] + b"\x07" + b[DIMS_AT - 20:],          # mode byte 7
+        lambda b: b.replace(b"\x01\x00a", b"\xff\xffa"),                 # id length overruns
+        lambda b: b.replace(b"\x01\x00a", b"\x01\x00\xff"),              # id not UTF-8
+    ])
+    def test_bogus_entries(self, body, tmp_path, mutate):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(with_crc(mutate(body)))
+        with pytest.raises(ModelFormatError, match=str(p)):
+            load_model(str(p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.binary(min_size=1, max_size=12))
+    def test_mutated_bytes_load_or_raise(self, tmp_path_factory, pos, patch):
+        p = tmp_path_factory.getbasetemp() / "fuzz_model.bin"
+        if not p.exists():
+            save_model(tiny_gallery(), str(p))
+        body = p.read_bytes()[:-4]
+        pos %= len(body)
+        p_bad = p.with_name("fuzz_model_bad.bin")
+        p_bad.write_bytes(with_crc(body[:pos] + patch + body[pos + len(patch):]))
+        try:
+            load_model(str(p_bad))
+        except LglgError:
+            pass
+
+    def test_cli_reports_one_line(self, body, tmp_path, capsys):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(with_crc(body[:DIMS_AT] + struct.pack("<III", 5, 2, 9) + body[DIMS_AT + 12:]))
+        code = main(["identify", "--model", str(p), "--image", str(tmp_path / "probe.pgm")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(p) in err
+        assert err.count("\n") == 1
+
+    def test_long_subject_id_rejected_before_writing(self, tmp_path):
+        p = tmp_path / "m.bin"
+        with pytest.raises(ModelFormatError, match="'bbbb"):
+            save_model(tiny_gallery(("a", "b" * 70_000)), str(p))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_file_atomically(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(tiny_gallery(("a", "b")), str(p))
+        old = p.read_bytes()
+        with open(p, "rb") as reader:
+            save_model(tiny_gallery(), str(p))
+            assert reader.read() == old  # the old file was replaced, not rewritten
+        assert load_model(str(p)).subject_ids == ["a", "b", "c"]
+        assert [q.name for q in tmp_path.iterdir()] == ["m.bin"]
