@@ -8,8 +8,8 @@ import itertools
 import sys
 
 from . import pipeline
-from .config import coerce_value, load_config, read_key_values, read_text
 from .errors import ConfigError, LglgError
+from .formats import load_config, load_manifest, parse_grid_file
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -22,7 +22,7 @@ def _fmt_acc(value: float | None) -> str:
 
 def cmd_enroll(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    records = pipeline.load_manifest(args.manifest)
+    records = load_manifest(args.manifest)
     gallery = pipeline.enroll(records, config, keypoints_dir=args.keypoints_dir, jobs=args.jobs)
     pipeline.save_model(gallery, args.out)
     print(f"k={gallery.model.output_dim} feature_length={gallery.model.input_dim}")
@@ -48,7 +48,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gallery = pipeline.load_model(args.model)
-    records = pipeline.load_manifest(args.manifest)
+    records = load_manifest(args.manifest)
     rows = pipeline.evaluate(gallery, records, gallery.config, keypoints_dir=args.keypoints_dir)
     lines = ["subset,n_probes,rank1,rank5"]
     for subset, n, rank1, rank5 in rows:
@@ -58,26 +58,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def parse_grid_file(path: str) -> list[tuple[str, list[object]]]:
-    """``key=v1,v2,...`` lines; returns (key, values) in file order."""
-    grid: dict[str, list[object]] = {}
-    for where, key, values in read_key_values(read_text(path), path):
-        if key in grid:
-            raise ConfigError(f"{where}: {key} given twice")
-        grid[key] = [coerce_value(key, v.strip()) for v in values.split(",") if v.strip()]
-        if not grid[key]:
-            raise ConfigError(f"{where}: no values for {key}")
-    return list(grid.items())
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
     grid = parse_grid_file(args.grid)
     keys = [k for k, _ in grid]
     combos = list(itertools.product(*[vs for _, vs in grid])) if grid else [()]
     configs = [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
-    gallery_records = pipeline.load_manifest(args.gallery_manifest)
-    probe_records = pipeline.load_manifest(args.probe_manifest)
+    gallery_records = load_manifest(args.gallery_manifest)
+    probe_records = load_manifest(args.probe_manifest)
 
     lines = [",".join(keys + ["acc"])]
     for combo, config in zip(combos, configs):

@@ -1,5 +1,5 @@
 """Flat run configuration: every knob of the extraction and projection
-pipeline, loadable from ``key=value`` text files and packable to the
+pipeline, parsed from ``key=value`` text and packable to the
 fixed-width binary block stored in model files."""
 
 import dataclasses
@@ -140,24 +140,6 @@ def coerce_value(key: str, value: str) -> object:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def read_text(path: str) -> str:
-    """The text of a UTF-8 config or grid file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-
-
-def _parse(text: str, source: str) -> RunConfig:
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    """Parse ``key=value`` lines (see :func:`read_key_values`); errors name ``source``."""
     return RunConfig(**{key: coerce_value(key, value) for _, key, value in read_key_values(text, source)})
-
-
-def parse_config_text(text: str) -> RunConfig:
-    """Parse ``key=value`` lines (``#`` comments, blank lines allowed)."""
-    return _parse(text, "<config>")
-
-
-def load_config(path: str) -> RunConfig:
-    return _parse(read_text(path), path)

@@ -8,7 +8,6 @@ space and half-vectorized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,29 +84,6 @@ def keypoint_blocks(
         left = min(max(left, 0), w - block_size)
         rects.append((top, left))
     return rects
-
-
-def load_keypoints(path: str, expected_count: int) -> list[tuple[float, float]]:
-    """Sidecar file: one "x y" pair per line, ordered."""
-    points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise KeypointError(f"{path}:{lineno}: expected 'x y', got {raw!r}")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise KeypointError(f"{path}:{lineno}: non-numeric coordinate") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise KeypointError(f"{path}:{lineno}: non-finite coordinate")
-            points.append((x, y))
-    if len(points) != expected_count:
-        raise KeypointError(f"{path}: has {len(points)} points, expected {expected_count}")
-    return points
 
 
 def estimate_gaussian(block_stack: np.ndarray, ridge_scale: float = 1e-4) -> GaussianDescriptor:

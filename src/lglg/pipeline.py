@@ -3,23 +3,22 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .config import CONFIG_BLOCK_SIZE, MODE_KEYPOINT, RunConfig
-from .descriptor import image_feature, load_keypoints
+from .descriptor import image_feature
 from .errors import (
     ChecksumMismatch,
     ConfigError,
     ConfigMismatch,
     DegenerateTrainingSet,
+    DimensionMismatch,
     ExtractionError,
     FormatVersionMismatch,
     LglgError,
@@ -27,19 +26,12 @@ from .errors import (
     MissingGroundTruth,
     ModelFormatError,
 )
+# perfbench calls load_manifest and ManifestRecord, and wraps read_pgm, through lglg.pipeline
+from .formats import ManifestRecord, keypoint_path, load_keypoints, load_manifest, read_pgm
 from .wpca import ProjectionModel, fit, project, zscore
 
 MODEL_MAGIC = b"LGLG"
 MODEL_VERSION = 1
-
-MANIFEST_HEADER = ["path", "subject_id", "subset"]
-
-
-@dataclass(frozen=True)
-class ManifestRecord:
-    path: str
-    subject_id: str
-    subset: str
 
 
 @dataclass(frozen=True)
@@ -70,79 +62,6 @@ class MatchResult:
         return None
 
 
-def load_manifest(path: str) -> list[ManifestRecord]:
-    """UTF-8 CSV with header ``path,subject_id,subset``."""
-    records: list[ManifestRecord] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest") from None
-        if [h.strip() for h in header] != MANIFEST_HEADER:
-            raise ManifestError(f"{path}: header must be {','.join(MANIFEST_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ManifestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            rec = ManifestRecord(path=row[0].strip(), subject_id=row[1].strip(), subset=row[2].strip())
-            if not rec.subject_id:
-                raise ManifestError(f"{path}:{lineno}: empty subject_id")
-            if rec.path in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate path {rec.path}")
-            seen.add(rec.path)
-            records.append(rec)
-    return records
-
-
-def read_pgm(path: str) -> np.ndarray:
-    """Read an 8-bit binary (P5) PGM into a uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(data):
-        # skip whitespace and '#' comment lines in the header
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    if len(tokens) != 4 or tokens[0] != b"P5":
-        raise ManifestError(f"{path}: not a binary (P5) PGM")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ManifestError(f"{path}: malformed PGM header") from None
-    if not 1 <= maxval <= 255:
-        raise ManifestError(f"{path}: maxval {maxval} outside 1..255 (only 8-bit PGM supported)")
-    pos += 1  # single whitespace after maxval
-    if len(data) - pos < width * height:
-        raise ManifestError(f"{path}: truncated PGM pixel data")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if pixels.max(initial=0) > maxval:
-        raise ManifestError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
-    return pixels.reshape(height, width).copy()
-
-
-def write_pgm(path: str, image: np.ndarray) -> None:
-    image = np.asarray(image, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (image.shape[1], image.shape[0]))
-        fh.write(image.tobytes())
-
-
-def _keypoint_path(image_path: str, keypoints_dir: str) -> str:
-    return str(Path(keypoints_dir) / (Path(image_path).stem + ".txt"))
-
-
 def extract_feature(path: str, config: RunConfig, keypoints_dir: str | None = None) -> np.ndarray:
     """Load one image and run the full descriptor pipeline on it."""
     try:
@@ -151,7 +70,7 @@ def extract_feature(path: str, config: RunConfig, keypoints_dir: str | None = No
         if config.mode == MODE_KEYPOINT:
             if keypoints_dir is None:
                 raise ManifestError("keypoint mode requires --keypoints-dir")
-            keypoints = load_keypoints(_keypoint_path(path, keypoints_dir), config.keypoint_count)
+            keypoints = load_keypoints(keypoint_path(path, keypoints_dir), config.keypoint_count)
         return image_feature(image, config, keypoints=keypoints)
     except ExtractionError:
         raise
@@ -206,7 +125,13 @@ def identify(
     Ties are broken by gallery insertion order (stable sort)."""
     if config.feature_fingerprint() != gallery.fingerprint:
         raise ConfigMismatch("probe config differs from the gallery's feature config")
-    z = zscore(project(gallery.model, extract_feature(probe_path, config, keypoints_dir)))
+    feature = extract_feature(probe_path, config, keypoints_dir)
+    if feature.size != gallery.model.input_dim:
+        raise DimensionMismatch(
+            f"{probe_path}: feature length {feature.size}, the gallery's is "
+            f"{gallery.model.input_dim} (probe and gallery images differ in size?)"
+        )
+    z = zscore(project(gallery.model, feature))
     dists = np.linalg.norm(gallery.features - z, axis=1)
     order = np.argsort(dists, kind="stable")
     ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
@@ -348,5 +273,9 @@ def load_model(path: str) -> Gallery:
         features[i] = take_floats(k)
     if pos != len(body):
         raise ModelFormatError(f"{path}: trailing bytes after entries")
+    if not all(np.isfinite(a).all() for a in (train_mean, basis, eigvals, features)):
+        raise ModelFormatError(f"{path}: WPCA state or entries hold NaN or Inf")
+    if not (eigvals > 0.0).all():
+        raise ModelFormatError(f"{path}: WPCA eigenvalues must be positive")
     model = ProjectionModel(train_mean=train_mean, basis=basis, eigvals=eigvals)
     return Gallery(config=config, model=model, subject_ids=subject_ids, features=features)

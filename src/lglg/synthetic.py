@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import write_pgm
+from .formats import write_pgm
 
 
 def grating(size: int, angle: float, freq: float, phase: float = 0.0) -> np.ndarray:

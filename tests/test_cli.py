@@ -1,10 +1,12 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lglg.cli import main
+from lglg.formats import write_pgm
 from lglg.pipeline import load_manifest
-from lglg.synthetic import write_benchmark
+from lglg.synthetic import grating, write_benchmark
 
 CONFIG_TEXT = """\
 # synthetic benchmark defaults
@@ -102,6 +104,39 @@ class TestEnroll:
         assert err.startswith("error: data:") and f"{bad}:2: non-finite" in err
         assert err.count("\n") == 1
 
+    def _enroll_one_line(self, capsys, *argv):
+        code = main(["enroll", *argv])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        return err
+
+    def test_manifest_not_utf8_exits_3(self, config_file, tmp_path, capsys):
+        manifest = tmp_path / "bad.csv"
+        manifest.write_bytes(b"path,subject_id,subset\n\xff.pgm,a,g\n")
+        err = self._enroll_one_line(capsys, "--config", config_file, "--manifest", str(manifest),
+                                    "--out", str(tmp_path / "m.bin"))
+        assert f"{manifest}: not UTF-8" in err
+
+    def test_keypoint_file_not_utf8_exits_3(self, small_dataset, tmp_path, capsys):
+        gallery_manifest, _ = small_dataset
+        cfg = tmp_path / "kp.cfg"
+        cfg.write_text("mode=keypoint\nblock_size=15\nkeypoint_count=2\nk_requested=4\n")
+        bad = tmp_path / f"{Path(load_manifest(gallery_manifest)[0].path).stem}.txt"
+        bad.write_bytes(b"20 20\n40 \xff\n")
+        err = self._enroll_one_line(capsys, "--config", str(cfg), "--manifest", gallery_manifest,
+                                    "--out", str(tmp_path / "m.bin"),
+                                    "--keypoints-dir", str(tmp_path))
+        assert f"{bad}: not UTF-8" in err
+
+    def test_empty_pgm_exits_3(self, config_file, tmp_path, capsys):
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.pgm").write_bytes(b"P5\n0 0\n255\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,subject_id,subset\n{tmp_path}/a.pgm,a,g\n{tmp_path}/b.pgm,b,g\n")
+        err = self._enroll_one_line(capsys, "--config", config_file, "--manifest", str(manifest),
+                                    "--out", str(tmp_path / "m.bin"))
+        assert f"{tmp_path}/a.pgm" in err and "empty" in err
+
 
 class TestIdentify:
     def test_stdout_ranking(self, small_dataset, model_file, capsys):
@@ -113,6 +148,14 @@ class TestIdentify:
         assert lines[0] == "rank,subject_id,distance"
         assert len(lines) == 4
         assert lines[1].startswith("1,class00,")
+
+    def test_probe_of_other_size_names_probe(self, model_file, tmp_path, capsys):
+        probe = tmp_path / "small.pgm"
+        write_pgm(str(probe), np.rint(255 * grating(32, 0.3, 0.5)))
+        code = main(["identify", "--model", model_file, "--image", str(probe)])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1
+        assert f"{probe}: feature length 2244, the gallery's is 8976" in err
 
 
 class TestEvaluate:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglg.cli import main, parse_grid_file
+from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig, parse_config_text
 from lglg.errors import ConfigError
+from lglg.formats import parse_grid_file
 
 KEYPOINT_CONFIG = RunConfig(
     mode="keypoint", directions=6, scales=3, sigma_pi=0.75, k_max_pi=0.4, spacing=1.5,

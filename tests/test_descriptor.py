@@ -14,10 +14,10 @@ from lglg.descriptor import (
     estimate_gaussian,
     image_feature,
     keypoint_blocks,
-    load_keypoints,
     partition_blocks,
 )
 from lglg.errors import BlockTooLarge, KeypointError, NonFinite, NotPositiveDefinite, TooFewSamples
+from lglg.formats import load_keypoints
 from lglg.gabor import build_bank, decompose
 from lglg.preprocess import preprocess_chain
 

@@ -21,15 +21,13 @@ from lglg.errors import (
     MissingGroundTruth,
     ModelFormatError,
 )
+from lglg.formats import load_manifest, read_pgm, write_pgm
 from lglg.pipeline import (
     MatchResult,
     identify,
-    load_manifest,
     load_model,
     rank_accuracy,
-    read_pgm,
     save_model,
-    write_pgm,
 )
 from lglg.wpca import ProjectionModel
 
@@ -365,6 +363,28 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(p) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("array, index, value", [
+        ("eigvals", slice(None), -1.0),
+        ("eigvals", 1, 0.0),
+        ("features", (0, 1), np.nan),
+        ("train_mean", slice(None), np.inf),
+    ])
+    def test_non_finite_or_non_positive_values_rejected(
+        self, tmp_path, capsys, array, index, value
+    ):
+        gallery = tiny_gallery()
+        arrays = {"eigvals": gallery.model.eigvals, "train_mean": gallery.model.train_mean,
+                  "features": gallery.features}
+        arrays[array][index] = value
+        p = tmp_path / "bad.bin"
+        save_model(gallery, str(p))
+        with pytest.raises(ModelFormatError, match=str(p)):
+            load_model(str(p))
+        code = main(["identify", "--model", str(p), "--image", str(tmp_path / "probe.pgm")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(p) in err and err.count("\n") == 1
 
     def test_long_subject_id_rejected_before_writing(self, tmp_path):
         p = tmp_path / "m.bin"
