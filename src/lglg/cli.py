@@ -67,19 +67,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     gallery_records = load_manifest(args.gallery_manifest)
     probe_records = load_manifest(args.probe_manifest)
 
+    accuracies = pipeline.sweep(
+        gallery_records, probe_records, configs, keypoints_dir=args.keypoints_dir, jobs=args.jobs
+    )
     lines = [",".join(keys + ["acc"])]
-    for combo, config in zip(combos, configs):
-        gallery = pipeline.enroll(
-            gallery_records, config, keypoints_dir=args.keypoints_dir, jobs=args.jobs
-        )
-        results = [
-            pipeline.identify(
-                gallery, rec.path, config, keypoints_dir=args.keypoints_dir,
-                true_subject=rec.subject_id,
-            )
-            for rec in probe_records
-        ]
-        acc = pipeline.rank_accuracy(results, 1)
+    for combo, acc in zip(combos, accuracies):
         lines.append(",".join([str(v) for v in combo] + [f"{acc:.4f}"]))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

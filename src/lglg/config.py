@@ -111,13 +111,19 @@ CONFIG_BLOCK_SIZE = _STRUCT.size
 _FEATURE_BYTES = struct.calcsize(_STRUCT.format[:-1])  # all but k_requested
 
 
+def text_lines(text: str) -> list[str]:
+    """``text`` split at LF, CR-LF and CR, as a file opened in text mode
+    splits it; unlike ``str.splitlines`` no other character ends a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_key_values(text: str, source: str) -> list[tuple[str, str, str]]:
     """``(source:line, key, value)`` for each ``key=value`` line of ``text``.
 
     ``#`` starts a comment and blank lines are skipped; every key must be a
-    :class:`RunConfig` field."""
+    :class:`RunConfig` field. Lines end as :func:`text_lines` says."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, coerce_value, parse_config_text, read_key_values
+from .config import RunConfig, coerce_value, parse_config_text, read_key_values, text_lines
 from .errors import ConfigError, KeypointError, LglgError, ManifestError
 
 MANIFEST_HEADER = ["path", "subject_id", "subset"]
@@ -114,9 +114,7 @@ def keypoint_path(image_path: str, keypoints_dir: str) -> str:
 def load_keypoints(path: str, expected_count: int) -> list[tuple[float, float]]:
     """Sidecar file: one "x y" pair per line, ordered."""
     points = []
-    # newline=None splits lines at \n, \r and \r\n, as a file opened in text mode does
-    lines = io.StringIO(read_text(path, KeypointError), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text_lines(read_text(path, KeypointError)), start=1):
         line = raw.strip()
         if not line:
             continue

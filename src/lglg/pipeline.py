@@ -88,23 +88,36 @@ def _extract_many(
         return list(pool.map(extract_feature, paths, [config] * len(paths), [keypoints_dir] * len(paths)))
 
 
+def _check_gallery_size(records: list[ManifestRecord]) -> None:
+    if len(records) < 2:
+        raise DegenerateTrainingSet("enrollment needs at least 2 gallery records")
+
+
 def enroll(
     records: list[ManifestRecord],
     config: RunConfig,
     keypoints_dir: str | None = None,
     jobs: int = 1,
+    features: np.ndarray | None = None,
 ) -> Gallery:
-    """Extract features for all gallery records, fit WPCA, standardize."""
-    if len(records) < 2:
-        raise DegenerateTrainingSet("enrollment needs at least 2 gallery records")
-    feats = np.vstack(_extract_many([r.path for r in records], config, keypoints_dir, jobs))
-    model = fit(feats, config.k_requested)
+    """Fit WPCA on the gallery's features and standardize them.
+
+    ``features`` holds one row per record, already extracted under
+    ``config``; without it the images are extracted here, ``jobs`` at a time."""
+    _check_gallery_size(records)
+    if features is None:
+        features = np.vstack(_extract_many([r.path for r in records], config, keypoints_dir, jobs))
+    elif features.shape[0] != len(records):
+        raise DimensionMismatch(
+            f"{features.shape[0]} feature rows given for {len(records)} gallery records"
+        )
+    model = fit(features, config.k_requested)
     if model.output_dim < 2:
         raise DegenerateTrainingSet(
             f"WPCA kept {model.output_dim} component(s) from {len(records)} gallery records; "
             "z-scoring needs at least 2, so enroll at least 3 records with distinct features"
         )
-    standardized = np.vstack([zscore(project(model, f)) for f in feats])
+    standardized = np.vstack([zscore(project(model, f)) for f in features])
     return Gallery(
         config=config,
         model=model,
@@ -113,19 +126,13 @@ def enroll(
     )
 
 
-def identify(
-    gallery: Gallery,
-    probe_path: str,
-    config: RunConfig,
-    keypoints_dir: str | None = None,
-    true_subject: str | None = None,
+def rank(
+    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str | None = None
 ) -> MatchResult:
-    """Rank all gallery entries by Euclidean distance to the probe feature.
+    """Rank all gallery entries by Euclidean distance to ``feature``, the
+    probe's feature extracted under the gallery's config.
 
     Ties are broken by gallery insertion order (stable sort)."""
-    if config.feature_fingerprint() != gallery.fingerprint:
-        raise ConfigMismatch("probe config differs from the gallery's feature config")
-    feature = extract_feature(probe_path, config, keypoints_dir)
     if feature.size != gallery.model.input_dim:
         raise DimensionMismatch(
             f"{probe_path}: feature length {feature.size}, the gallery's is "
@@ -136,6 +143,20 @@ def identify(
     order = np.argsort(dists, kind="stable")
     ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
     return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
+
+
+def identify(
+    gallery: Gallery,
+    probe_path: str,
+    config: RunConfig,
+    keypoints_dir: str | None = None,
+    true_subject: str | None = None,
+) -> MatchResult:
+    """Extract the probe's feature and :func:`rank` the gallery against it."""
+    if config.feature_fingerprint() != gallery.fingerprint:
+        raise ConfigMismatch("probe config differs from the gallery's feature config")
+    feature = extract_feature(probe_path, config, keypoints_dir)
+    return rank(gallery, feature, probe_path, true_subject)
 
 
 def rank_accuracy(results: list[MatchResult], r: int) -> float:
@@ -173,6 +194,43 @@ def evaluate(
         else:
             rows.append((subset, len(results), rank_accuracy(results, 1), rank_accuracy(results, 5)))
     return rows
+
+
+def sweep(
+    gallery_records: list[ManifestRecord],
+    probe_records: list[ManifestRecord],
+    configs: list[RunConfig],
+    keypoints_dir: str | None = None,
+    jobs: int = 1,
+) -> list[float]:
+    """Rank-1 accuracy of each config, in order: enroll the gallery under it
+    and identify every probe.
+
+    Configs with the same feature fingerprint (they differ only in
+    ``k_requested``) share one extraction of each image: the gallery is
+    extracted ``jobs`` at a time and fitted once per row, then each probe is
+    extracted in process and ranked against every gallery of the group."""
+    _check_gallery_size(gallery_records)
+    if not probe_records:
+        raise ManifestError("sweep needs at least one probe record")
+    groups: dict[str, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.feature_fingerprint(), []).append(i)
+    gallery_paths = [r.path for r in gallery_records]
+    accuracies = [0.0] * len(configs)
+    for rows in groups.values():
+        config = configs[rows[0]]
+        feats = np.vstack(_extract_many(gallery_paths, config, keypoints_dir, jobs))
+        galleries = {i: enroll(gallery_records, configs[i], keypoints_dir, features=feats) for i in rows}
+        del feats  # the probe loop needs only the fitted galleries
+        results: dict[int, list[MatchResult]] = {i: [] for i in rows}
+        for rec in probe_records:
+            feature = extract_feature(rec.path, config, keypoints_dir)
+            for i, gallery in galleries.items():
+                results[i].append(rank(gallery, feature, rec.path, rec.subject_id))
+        for i in rows:
+            accuracies[i] = rank_accuracy(results[i], 1)
+    return accuracies
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lglg import pipeline
 from lglg.cli import main
-from lglg.formats import write_pgm
+from lglg.config import RunConfig
+from lglg.formats import load_config, parse_grid_file, write_pgm
 from lglg.pipeline import load_manifest
 from lglg.synthetic import grating, write_benchmark
 
@@ -235,3 +240,97 @@ class TestSweep:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def sweep_dataset(tmp_path_factory):
+    """Noisy enough that sweep rows differ in accuracy."""
+    return write_benchmark(tmp_path_factory.mktemp("sweep_bench"), n_classes=8,
+                           probes_per_class=1, noise_sigma=0.4, seed=2)
+
+
+def reference_sweep_csv(config_path, grid_path, gallery_manifest, probe_manifest):
+    """The sweep CSV of one enroll and one identify per probe for every row."""
+    base = load_config(config_path)
+    grid = parse_grid_file(grid_path)
+    keys = [k for k, _ in grid]
+    gallery_records = load_manifest(gallery_manifest)
+    probe_records = load_manifest(probe_manifest)
+    lines = [",".join(keys + ["acc"])]
+    for combo in itertools.product(*[vs for _, vs in grid]):
+        config = dataclasses.replace(base, **dict(zip(keys, combo)))
+        gallery = pipeline.enroll(gallery_records, config)
+        results = [pipeline.identify(gallery, r.path, config, true_subject=r.subject_id)
+                   for r in probe_records]
+        lines.append(",".join([str(v) for v in combo]
+                              + [f"{pipeline.rank_accuracy(results, 1):.4f}"]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestSweepSharesExtraction:
+    @pytest.mark.parametrize("grid_text, jobs", [
+        ("k_requested=2,5,50\nblock_size=11,15\n", 1),  # rows of a feature config interleave
+        ("sigma_pi=0.8,1.2\nk_requested=2,50\n", 1),
+        ("k_requested=2,5,50\nblock_size=11,15\n", 2),
+    ])
+    def test_csv_equals_per_row_reference(self, sweep_dataset, config_file, tmp_path,
+                                          grid_text, jobs):
+        gallery_manifest, probe_manifest = sweep_dataset
+        grid = tmp_path / "grid.txt"
+        grid.write_text(grid_text)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", config_file, "--grid", str(grid),
+                     "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest,
+                     "--out", str(out), "--jobs", str(jobs)]) == 0
+        expected = reference_sweep_csv(config_file, str(grid), gallery_manifest, probe_manifest)
+        assert out.read_bytes() == expected
+        accuracies = [line.rsplit(b",", 1)[1] for line in expected.splitlines()[1:]]
+        assert len(set(accuracies)) > 1  # so rows given each other's results would show
+
+    def test_each_image_extracted_once_per_feature_config(self, sweep_dataset, monkeypatch):
+        gallery_manifest, probe_manifest = sweep_dataset
+        gallery_records = load_manifest(gallery_manifest)
+        probe_records = load_manifest(probe_manifest)
+        calls = Counter()
+        extract = pipeline.extract_feature
+
+        def counting(path, config, keypoints_dir=None):
+            calls[path, config.feature_fingerprint()] += 1
+            return extract(path, config, keypoints_dir)
+
+        monkeypatch.setattr(pipeline, "extract_feature", counting)
+        configs = [RunConfig(block_size=b, k_requested=k)
+                   for b, k in itertools.product((11, 15, 21), (5, 50))]
+        pipeline.sweep(gallery_records, probe_records, configs, jobs=1)
+        images = len(gallery_records) + len(probe_records)
+        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == 3 * images
+
+    def test_no_probes_exits_3(self, sweep_dataset, config_file, tmp_path, capsys):
+        gallery_manifest, _ = sweep_dataset
+        probes = tmp_path / "probes.csv"
+        probes.write_text("path,subject_id,subset\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("k_requested=5,50\n")
+        code = main(["sweep", "--config", config_file, "--grid", str(grid),
+                     "--gallery-manifest", gallery_manifest, "--probe-manifest", str(probes),
+                     "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        assert "at least one probe" in err
+
+    @pytest.mark.parametrize("gallery_rows", [0, 1])
+    def test_gallery_below_two_records_exits_3(self, sweep_dataset, config_file, tmp_path,
+                                               capsys, gallery_rows):
+        gallery_manifest, probe_manifest = sweep_dataset
+        lines = open(gallery_manifest, encoding="utf-8").read().splitlines()
+        gallery = tmp_path / "gallery.csv"
+        gallery.write_text("\n".join(lines[:1 + gallery_rows]) + "\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("k_requested=5,50\n")
+        code = main(["sweep", "--config", config_file, "--grid", str(grid),
+                     "--gallery-manifest", str(gallery), "--probe-manifest", probe_manifest,
+                     "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        assert "at least 2 gallery records" in err

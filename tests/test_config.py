@@ -22,6 +22,9 @@ KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 VALUES = ["0", "1", "2", "-1", "3.5", "1e400", "4294967296", "nan", "inf", "-inf",
           "grid", "keypoint", "", "x"]
 
+#: Characters that str.splitlines() treats as line ends but text files do not.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def key_value_text(sep):
     """Lines built from real and bogus keys, edge values and free text."""
@@ -114,6 +117,19 @@ class TestTextGrammar:
         with pytest.raises(ConfigError, match="k_requested"):
             parse_config_text(line)
 
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_only_newlines_end_a_line(self, sep):
+        # str.splitlines() would read a second line after each of these
+        for text in (f"block_size=11{sep}k_requested=7", f"block_size=11{sep}bogus=1"):
+            with pytest.raises(ConfigError, match="bad value for block_size"):
+                parse_config_text(text, "cfg")
+
+    def test_lf_crlf_and_cr_end_lines(self):
+        config = parse_config_text("block_size=11\r\nk_requested=7\rscales=3\n")
+        assert config == RunConfig(block_size=11, k_requested=7, scales=3)
+        with pytest.raises(ConfigError, match="<config>:3: unknown key 'bogus'"):
+            parse_config_text("block_size=11\r\r\nbogus=1")
+
     @settings(max_examples=300, deadline=None)
     @given(key_value_text(""))
     def test_config_text_fuzz(self, text):
@@ -141,6 +157,21 @@ class TestGridFile:
         grid.write_text(text)
         with pytest.raises(ConfigError, match=message):
             parse_grid_file(str(grid))
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_only_newlines_end_a_line(self, tmp_path, sep):
+        grid = tmp_path / "grid.txt"
+        grid.write_bytes(f"block_size=11,15{sep}bogus=1\n".encode())
+        with pytest.raises(ConfigError, match="bad value for block_size"):
+            parse_grid_file(str(grid))
+
+    def test_cr_ends_lines(self, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_bytes(b"block_size=11,15\rk_requested=5,50\r\n\rbogus=1\r")
+        with pytest.raises(ConfigError, match=r"grid.txt:4: unknown key 'bogus'"):
+            parse_grid_file(str(grid))
+        grid.write_bytes(b"block_size=11,15\rk_requested=5,50\r")
+        assert parse_grid_file(str(grid)) == [("block_size", [11, 15]), ("k_requested", [5, 50])]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(key_value_text(",").map(str.encode), st.binary(max_size=40)))
@@ -173,6 +204,15 @@ class TestCliReportsOneLine:
         assert code == 2
         assert line.split("=")[0] in _config_error_line(capsys)
 
+    @pytest.mark.parametrize("text", ["block_size=11\x1cbogus=1\n", "block_size=11\x0bk_requested=7\n"])
+    def test_enroll_config_splits_only_at_newlines(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main(["enroll", "--config", str(cfg), "--manifest", str(tmp_path / "none.csv"),
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert "bad value for block_size" in _config_error_line(capsys)
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"block_size=\xff\n")
@@ -183,6 +223,7 @@ class TestCliReportsOneLine:
 
     @pytest.mark.parametrize("text", [
         "bogus=1,2\n", "block_size=11\nblock_size=15\n", "sigma_pi=1.0,nan\n",
+        "block_size=11\x1cbogus=1\n", "block_size=11,15\x0bk_requested=7\n",
     ])
     def test_sweep_bad_grid_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.cfg"

@@ -14,6 +14,7 @@ from lglg.errors import (
     ChecksumMismatch,
     ConfigMismatch,
     DegenerateTrainingSet,
+    DimensionMismatch,
     ExtractionError,
     FormatVersionMismatch,
     LglgError,
@@ -167,6 +168,21 @@ class TestEnroll:
         with pytest.raises(ExtractionError) as exc:
             pipeline.enroll(records, default_config)
         assert "nonexistent_a.pgm" in str(exc.value)
+
+    def test_given_features_save_the_same_model(self, benchmark_dataset, default_config, tmp_path):
+        records = pipeline.load_manifest(benchmark_dataset[0])
+        feats = np.vstack(pipeline._extract_many([r.path for r in records], default_config, None, 1))
+        save_model(pipeline.enroll(records, default_config), str(tmp_path / "a.bin"))
+        save_model(pipeline.enroll(records, default_config, features=feats), str(tmp_path / "b.bin"))
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_given_features_must_match_records(self, benchmark_dataset, default_config, rows):
+        records = pipeline.load_manifest(benchmark_dataset[0])
+        assert len(records) == 10
+        feats = np.ones((rows, 4))
+        with pytest.raises(DimensionMismatch, match=f"{rows} feature rows given for 10 gallery records"):
+            pipeline.enroll(records, default_config, features=feats)
 
 
 class TestIdentify:
