@@ -1,13 +1,16 @@
 """Per-block Gaussian descriptors and the concatenated image feature.
 
-A preprocessed image is Gabor-decomposed once; blocks (regular grid or
-keypoint-centred) index into the subband stack, each block yielding a
+A preprocessed image is Gabor-decomposed once into a subband stack; blocks
+(regular grid or keypoint-centred) index into it, each block yielding a
 Gaussian over its per-pixel subband-magnitude vectors, embedded into flat
-space and half-vectorized.
+space and half-vectorized. Configs that differ only in block settings can
+share one stack through :func:`sharing_subbands`.
 """
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,27 +116,68 @@ def block_feature(g: GaussianDescriptor) -> np.ndarray:
     return spd.half_vectorize(spd.embed_gaussian(g.mu, g.cov))
 
 
-def image_feature(
-    image: np.ndarray,
+class _SubbandSlot:
+    key: tuple | None = None
+    planes: np.ndarray | None = None
+
+
+#: The slot of the open :func:`sharing_subbands` scope; None outside one.
+_shared: _SubbandSlot | None = None
+
+
+@contextlib.contextmanager
+def sharing_subbands() -> Iterator[None]:
+    """Scope in which :func:`subbands` keeps the stack it computed last and
+    returns it again for the same image bytes and subband settings.
+
+    The scope holds one stack: it is emptied before each recompute and when
+    the scope exits, so a stack never outlives the image it belongs to."""
+    global _shared
+    _shared = _SubbandSlot()
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def subbands(image: np.ndarray, config: RunConfig) -> np.ndarray:
+    """Preprocess, then Gabor-decompose: the (d, h, w) magnitude stack. It
+    depends only on ``config.preprocess_params()`` and
+    ``config.gabor_params()``; block settings act after it. Inside
+    :func:`sharing_subbands` a repeat call returns the kept stack."""
+    pre_params, gabor_params = config.preprocess_params(), config.gabor_params()
+    slot = _shared
+    if slot is not None:
+        key = (image.shape, image.dtype, image.tobytes(), pre_params, gabor_params)
+        if slot.key == key:
+            return slot.planes
+        slot.key = slot.planes = None
+    planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params))
+    if slot is not None:
+        slot.key, slot.planes = key, planes
+    return planes
+
+
+def block_features(
+    planes: np.ndarray,
     config: RunConfig,
     keypoints: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    """Full extraction for one image: preprocess, decompose, per-block
-    Gaussian embedding, concatenation in block order.
+    """Per-block Gaussian embeddings of a subband stack, concatenated in
+    block order.
 
     Blocks go through the Gaussian estimate and the embedding in stacks of
     up to ``BLOCK_CHUNK``; the result equals concatenating
     ``block_feature(estimate_gaussian(block))`` over the blocks, bit for bit.
     """
-    pre = preprocess_chain(image, config.preprocess_params())
-    planes = decompose(pre, build_bank(config.gabor_params()))
+    shape = planes.shape[1:]
     bs = config.block_size
     if config.mode == MODE_KEYPOINT:
         if keypoints is None:
             raise KeypointError("keypoint mode requires a keypoint list")
-        rects = keypoint_blocks(image.shape, keypoints, bs)
+        rects = keypoint_blocks(shape, keypoints, bs)
     else:
-        rects = partition_blocks(image.shape, bs).rects()
+        rects = partition_blocks(shape, bs).rects()
     parts = []
     for i in range(0, len(rects), BLOCK_CHUNK):
         blocks = np.stack(
@@ -141,3 +185,13 @@ def image_feature(
         )
         parts.append(block_feature(estimate_gaussian(blocks, ridge_scale=config.ridge_scale)))
     return np.concatenate(parts, axis=None)
+
+
+def image_feature(
+    image: np.ndarray,
+    config: RunConfig,
+    keypoints: list[tuple[float, float]] | None = None,
+) -> np.ndarray:
+    """Full extraction for one image: :func:`subbands`, then
+    :func:`block_features`."""
+    return block_features(subbands(image, config), config, keypoints)

@@ -61,6 +61,10 @@ class MissingGroundTruth(LglgError):
     """A match result lacks the ground-truth subject needed for accuracy."""
 
 
+class NoResults(LglgError):
+    """An accuracy was asked of an empty list of match results."""
+
+
 class ManifestError(LglgError):
     """Malformed manifest file."""
 
@@ -76,6 +80,10 @@ class ExtractionError(LglgError):
         super().__init__(f"{path}: {cause}")
         self.path = path
         self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from both arguments when a pool worker sends it back
+        return type(self), (self.path, self.cause)
 
 
 class ModelFormatError(LglgError):

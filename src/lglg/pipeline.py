@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import os
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .config import CONFIG_BLOCK_SIZE, MODE_KEYPOINT, RunConfig
-from .descriptor import image_feature
+from .descriptor import image_feature, sharing_subbands
 from .errors import (
     ChecksumMismatch,
     ConfigError,
@@ -25,6 +28,8 @@ from .errors import (
     ManifestError,
     MissingGroundTruth,
     ModelFormatError,
+    NoResults,
+    NonFinite,
 )
 # perfbench calls load_manifest and ManifestRecord, and wraps read_pgm, through lglg.pipeline
 from .formats import ManifestRecord, keypoint_path, load_keypoints, load_manifest, read_pgm
@@ -78,14 +83,58 @@ def extract_feature(path: str, config: RunConfig, keypoints_dir: str | None = No
         raise ExtractionError(path, exc) from exc
 
 
-def _extract_many(
-    paths: list[str], config: RunConfig, keypoints_dir: str | None, jobs: int
+def _extract_all(
+    path: str, configs: list[RunConfig], keypoints_dir: str | None
 ) -> list[np.ndarray]:
+    """:func:`extract_feature` of ``path`` under each of ``configs``, in
+    order. Configs with the same preprocess and Gabor settings share one
+    subband stack of the image."""
+    with sharing_subbands():
+        return [extract_feature(path, config, keypoints_dir) for config in configs]
+
+
+#: numpy wheels bundle OpenBLAS under this name; other builds do not match it.
+_OPENBLAS_GLOB = os.path.join(
+    os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_*.so"
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so that N workers do
+    not each start a BLAS thread per core. Does nothing when numpy's bundled
+    OpenBLAS or its thread setter is not found."""
+    for lib in glob.glob(_OPENBLAS_GLOB):
+        try:
+            set_num_threads = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+        set_num_threads(1)
+
+
+def _extract_many(
+    paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int
+) -> list[list[np.ndarray]]:
+    """:func:`_extract_all` of each path, ``jobs`` paths at a time."""
     jobs = min(jobs, len(paths), os.cpu_count() or 1)
     if jobs <= 1:
-        return [extract_feature(p, config, keypoints_dir) for p in paths]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(extract_feature, paths, [config] * len(paths), [keypoints_dir] * len(paths)))
+        return [_extract_all(p, configs, keypoints_dir) for p in paths]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
+        return list(pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir)))
+
+
+def _pop_column(paths: list[str], extracted: list[list[np.ndarray]]) -> np.ndarray:
+    """Stack the first remaining feature of each image, one row per path, and
+    drop those features from ``extracted`` so that they are freed once
+    stacked. Every image must give the first one's feature length."""
+    column = [features.pop(0) for features in extracted]
+    for path, feature in zip(paths, column):
+        if feature.size != column[0].size:
+            raise DimensionMismatch(
+                f"{path}: feature length {feature.size}, {paths[0]}'s is {column[0].size} "
+                "(gallery images differ in size?)"
+            )
+    return np.vstack(column)
 
 
 def _check_gallery_size(records: list[ManifestRecord]) -> None:
@@ -106,7 +155,8 @@ def enroll(
     ``config``; without it the images are extracted here, ``jobs`` at a time."""
     _check_gallery_size(records)
     if features is None:
-        features = np.vstack(_extract_many([r.path for r in records], config, keypoints_dir, jobs))
+        paths = [r.path for r in records]
+        features = _pop_column(paths, _extract_many(paths, [config], keypoints_dir, jobs))
     elif features.shape[0] != len(records):
         raise DimensionMismatch(
             f"{features.shape[0]} feature rows given for {len(records)} gallery records"
@@ -138,8 +188,15 @@ def rank(
             f"{probe_path}: feature length {feature.size}, the gallery's is "
             f"{gallery.model.input_dim} (probe and gallery images differ in size?)"
         )
-    z = zscore(project(gallery.model, feature))
-    dists = np.linalg.norm(gallery.features - z, axis=1)
+    # a model file may hold finite values whose products overflow
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            z = zscore(project(gallery.model, feature))
+            dists = np.linalg.norm(gallery.features - z, axis=1)
+        except FloatingPointError as exc:
+            raise NonFinite(
+                f"{probe_path}: matching overflows ({exc}); the model holds extreme values"
+            ) from exc
     order = np.argsort(dists, kind="stable")
     ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
     return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
@@ -161,6 +218,8 @@ def identify(
 
 def rank_accuracy(results: list[MatchResult], r: int) -> float:
     """Fraction of probes whose correct subject appears at rank <= r."""
+    if not results:
+        raise NoResults("no match results to score")
     hits = 0
     for res in results:
         if res.true_subject is None:
@@ -206,30 +265,41 @@ def sweep(
     """Rank-1 accuracy of each config, in order: enroll the gallery under it
     and identify every probe.
 
-    Configs with the same feature fingerprint (they differ only in
-    ``k_requested``) share one extraction of each image: the gallery is
-    extracted ``jobs`` at a time and fitted once per row, then each probe is
-    extracted in process and ranked against every gallery of the group."""
+    Configs with the same preprocess and Gabor settings form one group, and
+    each image is preprocessed and decomposed once per group. Within it,
+    configs with the same feature fingerprint (they differ only in
+    ``k_requested``) share one feature of each image. The gallery is
+    extracted ``jobs`` images at a time and fitted once per row; then each
+    probe is extracted in process and ranked against every gallery of the
+    group."""
     _check_gallery_size(gallery_records)
     if not probe_records:
         raise ManifestError("sweep needs at least one probe record")
-    groups: dict[str, list[int]] = {}
+    # subband settings -> feature fingerprint -> rows
+    groups: dict[tuple, dict[str, list[int]]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault(config.feature_fingerprint(), []).append(i)
+        subband_key = (config.preprocess_params(), config.gabor_params())
+        groups.setdefault(subband_key, {}).setdefault(config.feature_fingerprint(), []).append(i)
     gallery_paths = [r.path for r in gallery_records]
     accuracies = [0.0] * len(configs)
-    for rows in groups.values():
-        config = configs[rows[0]]
-        feats = np.vstack(_extract_many(gallery_paths, config, keypoints_dir, jobs))
-        galleries = {i: enroll(gallery_records, configs[i], keypoints_dir, features=feats) for i in rows}
+    for group in groups.values():
+        row_sets = list(group.values())
+        feature_configs = [configs[rows[0]] for rows in row_sets]
+        extracted = _extract_many(gallery_paths, feature_configs, keypoints_dir, jobs)
+        galleries: dict[int, Gallery] = {}
+        for rows in row_sets:
+            feats = _pop_column(gallery_paths, extracted)
+            for i in rows:
+                galleries[i] = enroll(gallery_records, configs[i], keypoints_dir, features=feats)
         del feats  # the probe loop needs only the fitted galleries
-        results: dict[int, list[MatchResult]] = {i: [] for i in rows}
+        results: dict[int, list[MatchResult]] = {i: [] for i in galleries}
         for rec in probe_records:
-            feature = extract_feature(rec.path, config, keypoints_dir)
-            for i, gallery in galleries.items():
-                results[i].append(rank(gallery, feature, rec.path, rec.subject_id))
-        for i in rows:
-            accuracies[i] = rank_accuracy(results[i], 1)
+            features = _extract_all(rec.path, feature_configs, keypoints_dir)
+            for feature, rows in zip(features, row_sets):
+                for i in rows:
+                    results[i].append(rank(galleries[i], feature, rec.path, rec.subject_id))
+        for i, row_results in results.items():
+            accuracies[i] = rank_accuracy(row_results, 1)
     return accuracies
 
 

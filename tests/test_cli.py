@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lglg import pipeline
+from lglg import descriptor, pipeline
 from lglg.cli import main
 from lglg.config import RunConfig
+from lglg.errors import ExtractionError
 from lglg.formats import load_config, parse_grid_file, write_pgm
 from lglg.pipeline import load_manifest
 from lglg.synthetic import grating, write_benchmark
@@ -249,7 +250,7 @@ def sweep_dataset(tmp_path_factory):
                            probes_per_class=1, noise_sigma=0.4, seed=2)
 
 
-def reference_sweep_csv(config_path, grid_path, gallery_manifest, probe_manifest):
+def reference_sweep_csv(config_path, grid_path, gallery_manifest, probe_manifest, keypoints_dir=None):
     """The sweep CSV of one enroll and one identify per probe for every row."""
     base = load_config(config_path)
     grid = parse_grid_file(grid_path)
@@ -259,8 +260,8 @@ def reference_sweep_csv(config_path, grid_path, gallery_manifest, probe_manifest
     lines = [",".join(keys + ["acc"])]
     for combo in itertools.product(*[vs for _, vs in grid]):
         config = dataclasses.replace(base, **dict(zip(keys, combo)))
-        gallery = pipeline.enroll(gallery_records, config)
-        results = [pipeline.identify(gallery, r.path, config, true_subject=r.subject_id)
+        gallery = pipeline.enroll(gallery_records, config, keypoints_dir)
+        results = [pipeline.identify(gallery, r.path, config, keypoints_dir, true_subject=r.subject_id)
                    for r in probe_records]
         lines.append(",".join([str(v) for v in combo]
                               + [f"{pipeline.rank_accuracy(results, 1):.4f}"]))
@@ -305,6 +306,96 @@ class TestSweepSharesExtraction:
         images = len(gallery_records) + len(probe_records)
         assert set(calls.values()) == {1}
         assert sum(calls.values()) == 3 * images
+
+    @pytest.fixture
+    def decompose_calls(self, monkeypatch):
+        """(preprocessed image bytes, Gabor settings) of every decompose call."""
+        calls = Counter()
+        decompose = descriptor.decompose
+
+        def counting(image, bank):
+            calls[image.tobytes(), bank.params] += 1
+            return decompose(image, bank)
+
+        monkeypatch.setattr(descriptor, "decompose", counting)
+        return calls
+
+    def run_sweep(self, dataset, config_file, tmp_path, grid_text, jobs=1, keypoints_dir=None):
+        """``lglg sweep`` of ``grid_text``: the CSV's bytes and the grid file's path."""
+        gallery_manifest, probe_manifest = dataset
+        grid = tmp_path / "grid.txt"
+        grid.write_text(grid_text)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", config_file, "--grid", str(grid),
+                "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest,
+                "--out", str(out), "--jobs", str(jobs)]
+        if keypoints_dir is not None:
+            argv += ["--keypoints-dir", keypoints_dir]
+        assert main(argv) == 0
+        return out.read_bytes(), str(grid)
+
+    def images(self, dataset):
+        return sum(len(load_manifest(m)) for m in dataset)
+
+    def test_each_image_decomposed_once_across_block_sizes(self, sweep_dataset, decompose_calls):
+        configs = [RunConfig(block_size=b, k_requested=k)
+                   for b, k in itertools.product((11, 15, 21), (5, 50))]
+        pipeline.sweep(*map(load_manifest, sweep_dataset), configs, jobs=1)
+        assert set(decompose_calls.values()) == {1}
+        assert len(decompose_calls) == self.images(sweep_dataset)
+
+    def test_interleaved_grid_decomposes_once_per_sigma(self, sweep_dataset, config_file, tmp_path,
+                                                        decompose_calls):
+        # consecutive rows differ in sigma_pi, so each image's two stacks alternate
+        self.run_sweep(sweep_dataset, config_file, tmp_path, "block_size=11,15\nsigma_pi=0.8,1.2\n")
+        assert set(decompose_calls.values()) == {1}
+        assert len(decompose_calls) == 2 * self.images(sweep_dataset)
+        assert {params.sigma for _, params in decompose_calls} == {0.8 * np.pi, 1.2 * np.pi}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interleaved_grid_equals_reference(self, sweep_dataset, config_file, tmp_path, jobs):
+        got, grid = self.run_sweep(sweep_dataset, config_file, tmp_path,
+                                   "block_size=11,15\nsigma_pi=0.8,1.2\nk_requested=3,4\n", jobs)
+        expected = reference_sweep_csv(config_file, grid, *sweep_dataset)
+        assert got == expected
+        accuracies = [line.rsplit(b",", 1)[1] for line in expected.splitlines()[1:]]
+        assert len(set(accuracies)) > 1
+
+    def test_keypoint_sweep_shares_subbands(self, sweep_dataset, tmp_path, decompose_calls):
+        keypoints = tmp_path / "kp"
+        keypoints.mkdir()
+        points = "".join(f"{x} {y}\n" for x, y in [(16, 16), (48, 20), (32, 40), (20, 50), (50, 50)])
+        for manifest in sweep_dataset:
+            for rec in load_manifest(manifest):
+                (keypoints / (Path(rec.path).stem + ".txt")).write_text(points)
+        config = tmp_path / "kp.cfg"
+        config.write_text(CONFIG_TEXT + "mode=keypoint\nkeypoint_count=5\n")
+        # keypoint_count stays fixed: every row reads the same sidecar files,
+        # and each must hold exactly keypoint_count points
+        got, grid = self.run_sweep(sweep_dataset, str(config), tmp_path,
+                                   "block_size=11,21\nridge_scale=0.0001,0.1\n",
+                                   keypoints_dir=str(keypoints))
+        assert set(decompose_calls.values()) == {1}
+        assert len(decompose_calls) == self.images(sweep_dataset)
+        assert got == reference_sweep_csv(str(config), grid, *sweep_dataset, str(keypoints))
+
+    def test_identify_twice_decomposes_twice(self, sweep_dataset, decompose_calls):
+        gallery_records, probe_records = map(load_manifest, sweep_dataset)
+        config = RunConfig(k_requested=5)
+        gallery = pipeline.enroll(gallery_records, config)
+        decompose_calls.clear()
+        for _ in range(2):
+            pipeline.identify(gallery, probe_records[0].path, config)
+        assert list(decompose_calls.values()) == [2]
+
+    def test_slot_empty_after_extract_all(self, sweep_dataset):
+        path = load_manifest(sweep_dataset[0])[0].path
+        configs = [RunConfig(block_size=11), RunConfig(block_size=15)]
+        pipeline._extract_all(path, configs, None)
+        assert descriptor._shared is None
+        with pytest.raises(ExtractionError):
+            pipeline._extract_all(path, configs + [RunConfig(block_size=99)], None)
+        assert descriptor._shared is None
 
     def test_no_probes_exits_3(self, sweep_dataset, config_file, tmp_path, capsys):
         gallery_manifest, _ = sweep_dataset

@@ -11,10 +11,13 @@ from lglg.config import RunConfig
 from lglg.descriptor import (
     GaussianDescriptor,
     block_feature,
+    block_features,
     estimate_gaussian,
     image_feature,
     keypoint_blocks,
     partition_blocks,
+    sharing_subbands,
+    subbands,
 )
 from lglg.errors import BlockTooLarge, KeypointError, NonFinite, NotPositiveDefinite, TooFewSamples
 from lglg.formats import load_keypoints
@@ -188,6 +191,67 @@ class TestImageFeature:
         d0 = np.linalg.norm(feat(stack1) - feat(stack2))
         d1 = np.linalg.norm(feat(stack1[perm]) - feat(stack2[perm]))
         assert abs(d0 - d1) < 1e-10
+
+
+class TestSubbandSplit:
+    @pytest.mark.parametrize("cfg, points", [
+        (RunConfig(block_size=11), None),
+        (RunConfig(mode="keypoint", block_size=22), [(30.0, 30.0), (0.0, 63.0), (12.5, 40.0)]),
+    ])
+    def test_composition_equals_image_feature(self, rng, cfg, points):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        planes = subbands(image, cfg)
+        assert planes.shape == (cfg.directions * cfg.scales, 64, 64)
+        assert np.array_equal(block_features(planes, cfg, points), image_feature(image, cfg, points))
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """Records the Gabor settings of every ``descriptor.decompose`` call."""
+    calls = []
+
+    def counting(image, bank):
+        calls.append(bank.params)
+        return decompose(image, bank)
+
+    monkeypatch.setattr(descriptor, "decompose", counting)
+    return calls
+
+
+class TestSharingSubbands:
+    def test_block_settings_share_one_stack(self, rng, decompose_calls):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        configs = [RunConfig(block_size=b, ridge_scale=r) for b in (11, 15, 21) for r in (1e-4, 0.1)]
+        with sharing_subbands():
+            shared = [image_feature(image.copy(), c) for c in configs]
+        assert len(decompose_calls) == 1
+        alone = [image_feature(image, c) for c in configs]
+        assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
+
+    def test_recomputes_for_other_settings_or_pixels(self, rng, decompose_calls):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        other = image.copy()
+        other[5, 7] += 1e-9
+        with sharing_subbands():
+            for img, sigma_pi in [(image, 1.0), (image, 1.2), (image, 1.0), (other, 1.0)]:
+                image_feature(img, RunConfig(sigma_pi=sigma_pi))
+        assert len(decompose_calls) == 4
+
+    def test_no_sharing_outside_the_scope(self, rng, decompose_calls):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        image_feature(image, RunConfig())
+        image_feature(image, RunConfig())
+        assert len(decompose_calls) == 2
+
+    def test_slot_emptied_on_exit_and_on_error(self, rng):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        with sharing_subbands():
+            subbands(image, RunConfig())
+            assert descriptor._shared.planes is not None
+        assert descriptor._shared is None
+        with pytest.raises(KeypointError), sharing_subbands():
+            image_feature(image, RunConfig(mode="keypoint"))
+        assert descriptor._shared is None
 
 
 def gaussian_oracle(block, ridge_scale):

@@ -1,4 +1,7 @@
+import ctypes
 import dataclasses
+import glob
+import pickle
 import struct
 import zlib
 
@@ -21,6 +24,7 @@ from lglg.errors import (
     ManifestError,
     MissingGroundTruth,
     ModelFormatError,
+    NoResults,
 )
 from lglg.formats import load_manifest, read_pgm, write_pgm
 from lglg.pipeline import (
@@ -109,7 +113,7 @@ class RecordingExecutor:
 
     max_workers: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         RecordingExecutor.max_workers.append(max_workers)
 
     def __enter__(self):
@@ -136,11 +140,59 @@ class TestJobsClamp:
     )
     def test_max_workers(self, recorded, n_paths, jobs, expected):
         paths = [f"img{i}.pgm" for i in range(n_paths)]
-        assert pipeline._extract_many(paths, RunConfig(), None, jobs) == paths
+        assert pipeline._extract_many(paths, [RunConfig()], None, jobs) == [[p] for p in paths]
         assert recorded == expected
 
 
+class TestPool:
+    def test_jobs_2_saves_the_jobs_1_model(self, benchmark_dataset, default_config, tmp_path):
+        records = pipeline.load_manifest(benchmark_dataset[0])
+        save_model(pipeline.enroll(records, default_config, jobs=1), str(tmp_path / "a.bin"))
+        save_model(pipeline.enroll(records, default_config, jobs=2), str(tmp_path / "b.bin"))
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_worker_error_names_the_image(self, benchmark_dataset, default_config):
+        records = pipeline.load_manifest(benchmark_dataset[0])[:3]
+        records.append(pipeline.ManifestRecord("nonexistent_c.pgm", "s9", "g"))
+        with pytest.raises(ExtractionError, match="nonexistent_c.pgm") as exc:
+            pipeline.enroll(records, default_config, jobs=2)
+        assert isinstance(exc.value.cause, OSError)
+
+    def test_extraction_error_pickles(self):
+        err = pickle.loads(pickle.dumps(ExtractionError("a.pgm", ManifestError("bad"))))
+        assert (str(err), err.path, str(err.cause)) == ("a.pgm: bad", "a.pgm", "bad")
+
+    @pytest.mark.skipif(not glob.glob(pipeline._OPENBLAS_GLOB), reason="numpy has no bundled OpenBLAS")
+    def test_initializer_sets_one_blas_thread(self):
+        lib = ctypes.CDLL(glob.glob(pipeline._OPENBLAS_GLOB)[0])
+        before = lib.scipy_openblas_get_num_threads64_()
+        try:
+            pipeline._one_blas_thread()
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+    @pytest.mark.parametrize("failure", ["no library", "not a library", "no symbol"])
+    def test_initializer_is_a_no_op_when_lookup_fails(self, tmp_path, monkeypatch, failure):
+        fake = tmp_path / "libscipy_openblas64_fake.so"
+        if failure == "not a library":
+            fake.write_bytes(b"not ELF")
+        elif failure == "no symbol":
+            fake.write_bytes(b"")
+            monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(pipeline, "_OPENBLAS_GLOB", str(tmp_path / "libscipy_openblas64_*.so"))
+        assert pipeline._one_blas_thread() is None
+
+
 class TestEnroll:
+    def test_mixed_image_sizes_name_the_odd_image(self, benchmark_dataset, default_config, tmp_path):
+        records = pipeline.load_manifest(benchmark_dataset[0])[:3]
+        small = tmp_path / "small.pgm"
+        write_pgm(str(small), np.random.default_rng(0).integers(0, 256, (32, 32)))
+        records.append(pipeline.ManifestRecord(str(small), "s9", "g"))
+        with pytest.raises(DimensionMismatch, match="small.pgm: feature length"):
+            pipeline.enroll(records, default_config)
+
     def test_gallery_shape(self, benchmark_gallery):
         assert len(benchmark_gallery.subject_ids) == 10
         # 10 centered training rows cap the rank at 9
@@ -171,7 +223,7 @@ class TestEnroll:
 
     def test_given_features_save_the_same_model(self, benchmark_dataset, default_config, tmp_path):
         records = pipeline.load_manifest(benchmark_dataset[0])
-        feats = np.vstack(pipeline._extract_many([r.path for r in records], default_config, None, 1))
+        feats = np.vstack([pipeline.extract_feature(r.path, default_config) for r in records])
         save_model(pipeline.enroll(records, default_config), str(tmp_path / "a.bin"))
         save_model(pipeline.enroll(records, default_config, features=feats), str(tmp_path / "b.bin"))
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -245,6 +297,10 @@ class TestRankAccuracy:
         res = MatchResult(probe="p", ranking=[("a", 0.0)], true_subject=None)
         with pytest.raises(MissingGroundTruth):
             rank_accuracy([res], 1)
+
+    def test_no_results(self):
+        with pytest.raises(NoResults, match="no match results to score"):
+            rank_accuracy([], 1)
 
 
 class TestEvaluate:
