@@ -8,6 +8,7 @@ import itertools
 import sys
 
 from . import pipeline
+from .config import MODE_KEYPOINT
 from .errors import ConfigError, LglgError
 from .formats import load_config, load_manifest, parse_grid_file
 
@@ -64,6 +65,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     keys = [k for k, _ in grid]
     combos = list(itertools.product(*[vs for _, vs in grid])) if grid else [()]
     configs = [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
+    counts = sorted({c.keypoint_count for c in configs if c.mode == MODE_KEYPOINT})
+    if len(counts) > 1:
+        raise ConfigError(
+            f"grid gives keypoint_count {counts} in keypoint mode; every row reads the same "
+            "--keypoints-dir, whose files hold one count, so give keypoint_count one value"
+        )
     gallery_records = load_manifest(args.gallery_manifest)
     probe_records = load_manifest(args.probe_manifest)
 

@@ -18,12 +18,18 @@ import numpy as np
 from . import spd
 from .config import MODE_KEYPOINT, RunConfig
 from .errors import BlockTooLarge, KeypointError, TooFewSamples
-from .gabor import build_bank, decompose
+from .gabor import build_bank, check_fits, decompose
+from .parallel import one_blas_thread, split
 from .preprocess import preprocess_chain
 
 #: Blocks per stacked Gaussian/embedding pass in :func:`image_feature`; bounds
 #: the (blocks, d, pixels) temporaries (3.7 MB at d=32, 15x15 blocks).
 BLOCK_CHUNK = 64
+
+#: Fewest blocks of a stack that one thread takes in :func:`estimate_gaussian`
+#: and :func:`block_feature`; smaller parts cost more to hand off than they
+#: save, so smaller stacks run on the calling thread.
+MIN_SPLIT_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -89,31 +95,60 @@ def keypoint_blocks(
     return rects
 
 
-def estimate_gaussian(block_stack: np.ndarray, ridge_scale: float = 1e-4) -> GaussianDescriptor:
-    """MLE Gaussian over the per-pixel subband vectors of one block.
+def _split_blocks(kernel, n_blocks: int) -> tuple[np.ndarray, ...]:
+    """``kernel(lo, hi)``, a tuple of arrays for blocks lo..hi of a stack,
+    over parts of the stack split across cores; each array's parts are
+    concatenated along the leading axis, in block order."""
+    parts = split(kernel, n_blocks, MIN_SPLIT_BLOCKS)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    ``block_stack`` has shape (d, bh, bw); each pixel contributes one
-    d-dimensional sample. Covariance uses divisor N, then the ridge
-    ``ridge_scale * trace(C)/d * I`` is added. A stack of blocks,
-    (..., d, bh, bw), gives one Gaussian per block in stacked arrays.
-    """
+
+def _gaussian(block_stack: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
     *lead, d, bh, bw = block_stack.shape
     n = bh * bw
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 pixels per block, got {n}")
     samples = block_stack.reshape(*lead, d, n)
     mu = samples.mean(axis=-1)
     centered = samples - mu[..., None]
     cov = centered @ np.swapaxes(centered, -1, -2) / n
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     ridge = ridge_scale * np.trace(cov, axis1=-2, axis2=-1) / d
-    return GaussianDescriptor(mu=mu, cov=cov + ridge[..., None, None] * np.eye(d))
+    return mu, cov + ridge[..., None, None] * np.eye(d)
+
+
+def estimate_gaussian(block_stack: np.ndarray, ridge_scale: float = 1e-4) -> GaussianDescriptor:
+    """MLE Gaussian over the per-pixel subband vectors of one block.
+
+    ``block_stack`` has shape (d, bh, bw); each pixel contributes one
+    d-dimensional sample. Covariance uses divisor N, then the ridge
+    ``ridge_scale * trace(C)/d * I`` is added. A stack of blocks,
+    (..., d, bh, bw), gives one Gaussian per block in stacked arrays,
+    computed in parts of the leading axis across cores.
+    """
+    bh, bw = block_stack.shape[-2:]
+    if bh * bw < 2:
+        raise TooFewSamples(f"need at least 2 pixels per block, got {bh * bw}")
+    if block_stack.ndim == 3:
+        return GaussianDescriptor(*_gaussian(block_stack, ridge_scale))
+    mu, cov = _split_blocks(
+        lambda lo, hi: _gaussian(block_stack[lo:hi], ridge_scale), block_stack.shape[0]
+    )
+    return GaussianDescriptor(mu=mu, cov=cov)
+
+
+def _embed(mu: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray]:
+    return (spd.half_vectorize(spd.embed_gaussian(mu, cov)),)
 
 
 def block_feature(g: GaussianDescriptor) -> np.ndarray:
     """Half-vectorized Log-Euclidean embedding; length (d+1)(d+2)/2, one row
-    per block for stacked Gaussians."""
-    return spd.half_vectorize(spd.embed_gaussian(g.mu, g.cov))
+    per block for stacked Gaussians, embedded in parts of the leading axis
+    across cores."""
+    if np.ndim(g.mu) < 2:
+        return _embed(g.mu, g.cov)[0]
+    (rows,) = _split_blocks(lambda lo, hi: _embed(g.mu[lo:hi], g.cov[lo:hi]), len(g.mu))
+    return rows
 
 
 class _SubbandSlot:
@@ -146,6 +181,8 @@ def subbands(image: np.ndarray, config: RunConfig) -> np.ndarray:
     ``config.gabor_params()``; block settings act after it. Inside
     :func:`sharing_subbands` a repeat call returns the kept stack."""
     pre_params, gabor_params = config.preprocess_params(), config.gabor_params()
+    # before the bank is built: a large window_len would allocate it first
+    check_fits(np.shape(image), gabor_params.window_len)
     slot = _shared
     if slot is not None:
         key = (image.shape, image.dtype, image.tobytes(), pre_params, gabor_params)
@@ -193,5 +230,7 @@ def image_feature(
     keypoints: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
     """Full extraction for one image: :func:`subbands`, then
-    :func:`block_features`."""
-    return block_features(subbands(image, config), config, keypoints)
+    :func:`block_features`, in one :func:`lglg.parallel.one_blas_thread`
+    scope: OpenBLAS runs one thread from the first split across cores on."""
+    with one_blas_thread():
+        return block_features(subbands(image, config), config, keypoints)

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import glob
 import os
 import struct
 import zlib
@@ -33,6 +31,7 @@ from .errors import (
 )
 # perfbench calls load_manifest and ManifestRecord, and wraps read_pgm, through lglg.pipeline
 from .formats import ManifestRecord, keypoint_path, load_keypoints, load_manifest, read_pgm
+from .parallel import pool_initializer
 from .wpca import ProjectionModel, fit, project, zscore
 
 MODEL_MAGIC = b"LGLG"
@@ -93,33 +92,15 @@ def _extract_all(
         return [extract_feature(path, config, keypoints_dir) for config in configs]
 
 
-#: numpy wheels bundle OpenBLAS under this name; other builds do not match it.
-_OPENBLAS_GLOB = os.path.join(
-    os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_*.so"
-)
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so that N workers do
-    not each start a BLAS thread per core. Does nothing when numpy's bundled
-    OpenBLAS or its thread setter is not found."""
-    for lib in glob.glob(_OPENBLAS_GLOB):
-        try:
-            set_num_threads = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
-        set_num_threads(1)
-
-
 def _extract_many(
     paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int
 ) -> list[list[np.ndarray]]:
-    """:func:`_extract_all` of each path, ``jobs`` paths at a time."""
+    """:func:`_extract_all` of each path, ``jobs`` paths at a time. Each pool
+    worker runs one thread; in process, each image uses every core."""
     jobs = min(jobs, len(paths), os.cpu_count() or 1)
     if jobs <= 1:
         return [_extract_all(p, configs, keypoints_dir) for p in paths]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=pool_initializer) as pool:
         return list(pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir)))
 
 

@@ -143,6 +143,20 @@ class TestEnroll:
                                     "--out", str(tmp_path / "m.bin"))
         assert f"{tmp_path}/a.pgm" in err and "empty" in err
 
+    def test_window_beyond_image_exits_3_before_building_the_bank(self, small_dataset, tmp_path,
+                                                                   capsys, monkeypatch):
+        def fail(params):
+            raise AssertionError("kernel bank built for an image it cannot filter")
+
+        monkeypatch.setattr(descriptor, "build_bank", fail)
+        config = tmp_path / "big.cfg"
+        config.write_text(CONFIG_TEXT + "window_len=301\n")
+        code = main(["enroll", "--config", str(config), "--manifest", small_dataset[0],
+                     "--out", str(tmp_path / "m.bin")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        assert "smaller than kernel support 301" in err
+
 
 class TestIdentify:
     def test_stdout_ranking(self, small_dataset, model_file, capsys):
@@ -396,6 +410,33 @@ class TestSweepSharesExtraction:
         with pytest.raises(ExtractionError):
             pipeline._extract_all(path, configs + [RunConfig(block_size=99)], None)
         assert descriptor._shared is None
+
+    @pytest.mark.parametrize("base_mode, grid_text, code", [
+        ("keypoint", "keypoint_count=5,6\nblock_size=11\n", 2),
+        ("keypoint", "mode=grid,keypoint\nkeypoint_count=5,6\n", 2),
+        ("grid", "keypoint_count=5,6\n", 0),
+    ])
+    def test_keypoint_count_takes_one_value_in_keypoint_mode(self, sweep_dataset, tmp_path, capsys,
+                                                             monkeypatch, base_mode, grid_text,
+                                                             code):
+        def fail(path):
+            raise AssertionError(f"{path} read before the grid was refused")
+
+        if code:
+            monkeypatch.setattr("lglg.cli.load_manifest", fail)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG_TEXT + f"mode={base_mode}\nk_requested=5\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text(grid_text)
+        gallery_manifest, probe_manifest = sweep_dataset
+        got = main(["sweep", "--config", str(config), "--grid", str(grid),
+                    "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest,
+                    "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert got == code
+        if code:
+            assert err.startswith("error: config:") and err.count("\n") == 1
+            assert "keypoint_count [5, 6]" in err
 
     def test_no_probes_exits_3(self, sweep_dataset, config_file, tmp_path, capsys):
         gallery_manifest, _ = sweep_dataset

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_spd
-from lglg import descriptor, spd
+from lglg import descriptor, gabor, parallel, spd
 from lglg.config import RunConfig
 from lglg.descriptor import (
     GaussianDescriptor,
@@ -19,7 +21,14 @@ from lglg.descriptor import (
     sharing_subbands,
     subbands,
 )
-from lglg.errors import BlockTooLarge, KeypointError, NonFinite, NotPositiveDefinite, TooFewSamples
+from lglg.errors import (
+    BlockTooLarge,
+    ImageTooSmall,
+    KeypointError,
+    NonFinite,
+    NotPositiveDefinite,
+    TooFewSamples,
+)
 from lglg.formats import load_keypoints
 from lglg.gabor import build_bank, decompose
 from lglg.preprocess import preprocess_chain
@@ -203,6 +212,124 @@ class TestSubbandSplit:
         planes = subbands(image, cfg)
         assert planes.shape == (cfg.directions * cfg.scales, 64, 64)
         assert np.array_equal(block_features(planes, cfg, points), image_feature(image, cfg, points))
+
+
+class TestSubbandsChecksFirst:
+    def test_window_checked_before_the_bank_is_built(self, monkeypatch):
+        def fail(params):
+            raise AssertionError("kernel bank built for an image it cannot filter")
+
+        monkeypatch.setattr(descriptor, "build_bank", fail)
+        with pytest.raises(ImageTooSmall, match="smaller than kernel support 301"):
+            image_feature(np.zeros((32, 32)), RunConfig(window_len=301))
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """Every plane loop and block stack splits across cores, however small."""
+    monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", 0)
+    monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", 1)
+
+
+def feature_bytes(monkeypatch, cores, image, cfg, points=None):
+    """``image_feature``'s bytes with ``cores`` threads per split; no thread
+    outlives the call."""
+    monkeypatch.setattr(parallel, "CORES", cores)
+    threads = threading.active_count()
+    feature = image_feature(image, cfg, points)
+    assert threading.active_count() == threads
+    return feature.tobytes()
+
+
+class TestCoresBitwise:
+    """Extraction split across threads equals one thread's, byte for byte."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_grid_blocks_split_unevenly(self, rng, monkeypatch, cores):
+        # 196 blocks in stacks of 64, 64, 64 and 4: each 64 splits into 32+32
+        # or 21+21+22 blocks; the 4 stays whole
+        cfg = RunConfig(block_size=7)
+        image = rng.uniform(0.0, 1.0, (100, 100))
+        one = feature_bytes(monkeypatch, 1, image, cfg)
+        assert feature_bytes(monkeypatch, cores, image, cfg) == one
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_grid_everything_split(self, rng, monkeypatch, split_everything, cores):
+        cfg = RunConfig(block_size=7)
+        image = rng.uniform(0.0, 1.0, (100, 100))
+        one = feature_bytes(monkeypatch, 1, image, cfg)
+        assert feature_bytes(monkeypatch, cores, image, cfg) == one
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_keypoint_mode(self, rng, monkeypatch, split_everything, cores):
+        cfg = RunConfig(mode="keypoint", block_size=15)
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        points = [(float(3 * i), float(2 * i + 5)) for i in range(21)]
+        one = feature_bytes(monkeypatch, 1, image, cfg, points)
+        assert feature_bytes(monkeypatch, cores, image, cfg, points) == one
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_bank_not_divisible_by_cores(self, rng, monkeypatch, split_everything, cores):
+        # 15 subbands: 8+7 planes on 2 cores, 3+4+4+4 on 4
+        cfg = RunConfig(directions=5, scales=3, block_size=11)
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        one = feature_bytes(monkeypatch, 1, image, cfg)
+        assert feature_bytes(monkeypatch, cores, image, cfg) == one
+
+    @pytest.mark.parametrize("blocks, parts", [(16, 1), (31, 1), (32, 2), (64, 2)])
+    def test_stack_splits_from_two_parts_of_min_blocks(self, rng, monkeypatch, blocks, parts):
+        monkeypatch.setattr(parallel, "CORES", 2)
+        seen = []
+
+        def recording(fn, n, min_part=1):
+            out = parallel.split(fn, n, min_part)
+            seen.append(len(out))
+            return out
+
+        monkeypatch.setattr(descriptor, "split", recording)
+        stack = rng.uniform(0.0, 1.0, (blocks, 4, 5, 5))
+        block_feature(estimate_gaussian(stack))
+        assert seen == [parts, parts]
+
+
+@pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
+class TestBlasHeldDuringSplitExtraction:
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """(OpenBLAS thread count, OS thread count) at each ``block_features``
+        call; OpenBLAS runs 2 threads with live workers before each test."""
+        monkeypatch.setattr(parallel, "CORES", 2)
+        get, set_, _ = parallel._OPENBLAS
+        before = get()
+        seen = []
+
+        def recording(*args):
+            seen.append((get(), len(os.listdir("/proc/self/task"))))
+            return block_features(*args)
+
+        monkeypatch.setattr(descriptor, "block_features", recording)
+        set_(2)
+        a = np.ones((400, 400))
+        a @ a
+        yield seen
+        set_(before)
+
+    def test_split_extraction_runs_one_blas_thread_and_restores(self, rng, blas, split_everything):
+        get = parallel._OPENBLAS[0]
+        outside, os_threads = get(), len(os.listdir("/proc/self/task"))
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        image_feature(image, RunConfig())
+        assert blas[0][0] == 1 and get() == outside
+        assert blas[0][1] < os_threads  # the OpenBLAS workers were ended
+        with pytest.raises(KeypointError):
+            image_feature(image, RunConfig(mode="keypoint"))
+        assert get() == outside
+
+    def test_extraction_that_splits_nothing_leaves_blas_alone(self, rng, blas):
+        get = parallel._OPENBLAS[0]
+        outside = get()
+        image_feature(rng.uniform(0.0, 1.0, (64, 64)), RunConfig())
+        assert [count for count, _ in blas] == [outside] and get() == outside
 
 
 @pytest.fixture

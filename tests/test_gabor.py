@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lglg import gabor
+from lglg import gabor, parallel
 from lglg.errors import ConfigError, ImageTooSmall, InvalidIndex
 from lglg.gabor import GaborParams, build_bank, build_kernel, decompose
 
@@ -158,6 +158,28 @@ class TestDecomposeBitwise:
         bank = build_bank(params)
         for image in (rng.uniform(0.0, 1.0, shape), 3.0 * rng.standard_normal(shape)):
             assert np.array_equal(decompose(image, bank), fftconvolve_reference(image, bank))
+
+
+class TestDecomposeCores:
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_split_equals_one_thread(self, rng, monkeypatch, cores):
+        # 128x128 planes split without lowering MIN_SPLIT_PIXELS; the 15
+        # planes of a 5x3 bank divide by neither 2 nor 4 cores
+        bank = build_bank(GaborParams(directions=5, scales=3))
+        image = rng.uniform(0.0, 1.0, (128, 128))
+        monkeypatch.setattr(parallel, "CORES", 1)
+        one = decompose(image, bank)
+        monkeypatch.setattr(parallel, "CORES", cores)
+        assert decompose(image, bank).tobytes() == one.tobytes()
+        assert decompose(image, bank).tobytes() == fftconvolve_reference(image, bank).tobytes()
+
+    @pytest.mark.parametrize("shape, split", [((64, 64), False), ((127, 129), False), ((128, 128), True)])
+    def test_splits_from_min_split_pixels(self, monkeypatch, shape, split):
+        monkeypatch.setattr(parallel, "CORES", 2)
+        calls = []
+        monkeypatch.setattr(gabor, "split", lambda fn, n: calls.append(n) or fn(0, n))
+        decompose(np.zeros(shape), build_bank(GaborParams()))
+        assert calls == ([32] if split else [])
 
 
 class TestCaches:

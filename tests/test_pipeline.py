@@ -1,8 +1,7 @@
-import ctypes
 import dataclasses
-import glob
 import pickle
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglg import pipeline
+from lglg import descriptor, gabor, parallel, pipeline
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.errors import (
@@ -162,26 +161,64 @@ class TestPool:
         err = pickle.loads(pickle.dumps(ExtractionError("a.pgm", ManifestError("bad"))))
         assert (str(err), err.path, str(err.cause)) == ("a.pgm: bad", "a.pgm", "bad")
 
-    @pytest.mark.skipif(not glob.glob(pipeline._OPENBLAS_GLOB), reason="numpy has no bundled OpenBLAS")
-    def test_initializer_sets_one_blas_thread(self):
-        lib = ctypes.CDLL(glob.glob(pipeline._OPENBLAS_GLOB)[0])
-        before = lib.scipy_openblas_get_num_threads64_()
+    @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
+    def test_initializer_sets_one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CORES", parallel.CORES)
+        get, set_, _ = parallel._OPENBLAS
+        before = get()
         try:
-            pipeline._one_blas_thread()
-            assert lib.scipy_openblas_get_num_threads64_() == 1
+            parallel.pool_initializer()
+            assert get() == 1
+            assert parallel.CORES == 1
         finally:
-            lib.scipy_openblas_set_num_threads64_(before)
+            set_(before)
 
     @pytest.mark.parametrize("failure", ["no library", "not a library", "no symbol"])
     def test_initializer_is_a_no_op_when_lookup_fails(self, tmp_path, monkeypatch, failure):
+        # the lookup finds nothing, and then neither the initializer nor the
+        # extraction scope touches a BLAS, and one split runs one thread
         fake = tmp_path / "libscipy_openblas64_fake.so"
         if failure == "not a library":
             fake.write_bytes(b"not ELF")
         elif failure == "no symbol":
             fake.write_bytes(b"")
-            monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda path: object())
-        monkeypatch.setattr(pipeline, "_OPENBLAS_GLOB", str(tmp_path / "libscipy_openblas64_*.so"))
-        assert pipeline._one_blas_thread() is None
+            monkeypatch.setattr(parallel.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(parallel, "_OPENBLAS_GLOB", str(tmp_path / "libscipy_openblas64_*.so"))
+        assert parallel._find_openblas() is None
+        monkeypatch.setattr(parallel, "_OPENBLAS", None)
+        monkeypatch.setattr(parallel, "CORES", 2)
+        assert parallel.pool_initializer() is None
+        with parallel.one_blas_thread():
+            assert parallel.split(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
+
+    def test_pool_worker_runs_one_core(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_extract_all", _worker_cores)
+        assert pipeline._extract_many(["a.pgm", "b.pgm"], [RunConfig()], None, 2) == [1, 1]
+
+    def test_pool_after_threaded_identify_equals_jobs_1(
+        self, benchmark_dataset, benchmark_gallery, default_config, tmp_path, monkeypatch
+    ):
+        # every plane loop and block stack splits, so lglg threads have run
+        # in this process before each pool forks
+        monkeypatch.setattr(parallel, "CORES", 2)
+        monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", 0)
+        monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", 1)
+        gallery_records = pipeline.load_manifest(benchmark_dataset[0])
+        probe_records = pipeline.load_manifest(benchmark_dataset[1])[:4]
+        threads = threading.active_count()
+        identify(benchmark_gallery, probe_records[0].path, default_config)
+        assert threading.active_count() == threads
+        for jobs in (1, 2):
+            gallery = pipeline.enroll(gallery_records, default_config, jobs=jobs)
+            save_model(gallery, str(tmp_path / f"{jobs}.bin"))
+        assert (tmp_path / "1.bin").read_bytes() == (tmp_path / "2.bin").read_bytes()
+        configs = [dataclasses.replace(default_config, block_size=b, k_requested=5) for b in (11, 15)]
+        accs = [pipeline.sweep(gallery_records, probe_records, configs, jobs=jobs) for jobs in (1, 2)]
+        assert accs[0] == accs[1]
+
+
+def _worker_cores(path, configs, keypoints_dir):
+    return parallel.CORES
 
 
 class TestEnroll:
