@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ConfigError, ImageTooSmall, InvalidIndex
 from .parallel import split
@@ -16,6 +15,12 @@ from .parallel import split
 #: across cores. Smaller planes take tens of microseconds per FFT, too short
 #: to hand between threads: split at 64x64 it ran 0.9-1.4x the serial time.
 MIN_SPLIT_PIXELS = 128 * 128
+
+#: Largest bank a config or model file may ask for; the paper's is 8x5 and
+#: the default 8x4. The cached kernel spectra take U*V*2*16 bytes per FFT
+#: bin, so these bounds hold them to 4 KB per bin (about 170 MB at 256²).
+MAX_DIRECTIONS = 16
+MAX_SCALES = 8
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,11 @@ class GaborParams:
     window_len: int = 9
 
     def __post_init__(self):
-        if self.directions < 1 or self.scales < 1:
-            raise ConfigError("directions and scales must be >= 1")
+        if not (1 <= self.directions <= MAX_DIRECTIONS and 1 <= self.scales <= MAX_SCALES):
+            raise ConfigError(
+                f"directions must be in 1..{MAX_DIRECTIONS} and scales in 1..{MAX_SCALES}, "
+                f"got {self.directions} and {self.scales}"
+            )
         if self.sigma <= 0.0 or self.k_max <= 0.0:
             raise ConfigError("sigma and k_max must be positive")
         if self.spacing <= 1.0:
@@ -132,6 +140,20 @@ def build_bank(params: GaborParams) -> GaborBank:
     return GaborBank(params=params, kernels=tuple(kernels))
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) at least ``n``: the real
+    FFT length ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @lru_cache(maxsize=4)
 def kernel_spectra(params: GaborParams, fshape: tuple[int, int]) -> np.ndarray:
     """Real-FFT spectra of every flipped kernel part, zero-padded to
@@ -141,7 +163,7 @@ def kernel_spectra(params: GaborParams, fshape: tuple[int, int]) -> np.ndarray:
     spectra = np.empty((len(bank), 2, fshape[0], fshape[1] // 2 + 1), dtype=np.complex128)
     for p, kernel in enumerate(bank):
         for part, taps in enumerate((kernel.real, kernel.imag)):
-            spectra[p, part] = sp_fft.rfftn(taps[::-1, ::-1], fshape, axes=(0, 1))
+            spectra[p, part] = np.fft.rfftn(taps[::-1, ::-1], fshape, axes=(0, 1))
     return _read_only(spectra)
 
 
@@ -174,9 +196,10 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     path (default) or the direct spatial path used as its oracle.
 
     The FFT path takes one real FFT of the padded image and multiplies it by
-    each cached kernel spectrum. Its FFT length, product order and output
-    slice are those of ``scipy.signal.fftconvolve(padded, flipped_kernel,
-    "valid")``, so each plane is bitwise equal to two such convolutions.
+    each cached kernel spectrum. The FFTs go through ``numpy.fft``; FFT
+    length, product order, normalization and output slice are those of
+    ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
+    plane stays bitwise equal to two such convolutions.
     Planes of at least ``MIN_SPLIT_PIXELS`` are split across cores
     (:func:`lglg.parallel.split`); each is computed whole by one thread, so
     the stack does not depend on the split.
@@ -197,18 +220,26 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
             planes[p] = np.hypot(re, im)
         return planes
 
-    fshape = tuple(sp_fft.next_fast_len(n + wl - 1, real=True) for n in padded.shape)
-    spectrum = sp_fft.rfftn(padded, fshape, axes=(0, 1))
+    fshape = tuple(next_fast_len(n + wl - 1) for n in padded.shape)
+    spectrum = np.fft.rfftn(padded, fshape, axes=(0, 1))
     h, w = image.shape
     valid = (slice(wl - 1, wl - 1 + h), slice(wl - 1, wl - 1 + w))
     spectra = kernel_spectra(bank.params, fshape)
+    scale = 1.0 / (fshape[0] * fshape[1])
+
+    def inverse(product: np.ndarray) -> np.ndarray:
+        # The two passes of an unscaled inverse real FFT: columns, then each
+        # row on its own, so only the rows that `valid` keeps. Then one
+        # multiply by 1/N, as scipy's backward norm does (numpy's default
+        # norm scales once per axis); 1/N rounded from double equals scipy's
+        # from long double for every 5-smooth N up to 1e12.
+        rows = np.fft.ifft(product, axis=0, norm="forward")[valid[0]]
+        return np.fft.irfft(rows, fshape[1], axis=1, norm="forward")[:, valid[1]] * scale
 
     def filter_planes(lo: int, hi: int) -> None:
         for p in range(lo, hi):
             re_k, im_k = spectra[p]
-            re = sp_fft.irfftn(spectrum * re_k, fshape, axes=(0, 1))[valid]
-            im = sp_fft.irfftn(spectrum * im_k, fshape, axes=(0, 1))[valid]
-            planes[p] = np.hypot(re, im)
+            planes[p] = np.hypot(inverse(spectrum * re_k), inverse(spectrum * im_k))
 
     if h * w < MIN_SPLIT_PIXELS:
         filter_planes(0, len(bank))

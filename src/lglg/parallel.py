@@ -3,13 +3,15 @@ extraction uses.
 
 One image's extraction splits its Gabor subbands and its Gaussian block
 stacks across the cores of the process's CPU affinity with :func:`split`.
-The work is numpy, scipy FFT and LAPACK code that releases the interpreter
+The work is numpy FFT and LAPACK code that releases the interpreter
 lock, and each part writes its own output rows, so the result is bitwise
 that of one thread. Helper threads live for one split only: none is alive
 when a process pool forks. Within one extraction (:func:`one_blas_thread`),
 numpy's bundled OpenBLAS is held to one thread from the first split on, so
-that its own threads do not compete with the helpers. Where that OpenBLAS cannot be found, :data:`CORES` is 1
-and extraction runs on one thread, as it does in process-pool workers.
+that its own threads do not compete with the helpers. Where that OpenBLAS
+cannot be found, :data:`CORES` is 1 and extraction runs on one thread, as it
+does in process-pool workers. Process pools run at most :data:`AFFINITY`
+workers.
 """
 
 from __future__ import annotations
@@ -53,9 +55,12 @@ def _find_openblas() -> tuple[Callable[[], int], Callable[[int], None], Callable
 
 _OPENBLAS = _find_openblas()
 
-#: Threads one :func:`split` uses: the size of the process's CPU affinity,
-#: or 1 when OpenBLAS cannot be held to one thread.
-CORES = len(os.sched_getaffinity(0)) if _OPENBLAS is not None else 1
+#: The size of the process's CPU affinity, so ``taskset`` limits it.
+AFFINITY = len(os.sched_getaffinity(0))
+
+#: Threads one :func:`split` uses: :data:`AFFINITY`, or 1 when OpenBLAS
+#: cannot be held to one thread.
+CORES = AFFINITY if _OPENBLAS is not None else 1
 
 
 #: The open :func:`one_blas_thread` scope: empty until a split in it holds

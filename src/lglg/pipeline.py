@@ -12,6 +12,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import parallel
 from .config import CONFIG_BLOCK_SIZE, MODE_KEYPOINT, RunConfig
 from .descriptor import image_feature, sharing_subbands
 from .errors import (
@@ -31,7 +32,6 @@ from .errors import (
 )
 # perfbench calls load_manifest and ManifestRecord, and wraps read_pgm, through lglg.pipeline
 from .formats import ManifestRecord, keypoint_path, load_keypoints, load_manifest, read_pgm
-from .parallel import pool_initializer
 from .wpca import ProjectionModel, fit, project, zscore
 
 MODEL_MAGIC = b"LGLG"
@@ -95,12 +95,13 @@ def _extract_all(
 def _extract_many(
     paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int
 ) -> list[list[np.ndarray]]:
-    """:func:`_extract_all` of each path, ``jobs`` paths at a time. Each pool
-    worker runs one thread; in process, each image uses every core."""
-    jobs = min(jobs, len(paths), os.cpu_count() or 1)
+    """:func:`_extract_all` of each path, ``jobs`` paths at a time, at most
+    one per core of the process's CPU affinity. Each pool worker runs one
+    thread; in process, each image uses every core."""
+    jobs = min(jobs, len(paths), parallel.AFFINITY)
     if jobs <= 1:
         return [_extract_all(p, configs, keypoints_dir) for p in paths]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=pool_initializer) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=parallel.pool_initializer) as pool:
         return list(pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir)))
 
 

@@ -10,7 +10,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite
 
@@ -99,8 +98,11 @@ def riemannian_distance(C1: np.ndarray, C2: np.ndarray) -> float:
     eigenvalues of (C1, C2).
 
     The generalized problem is solved by Cholesky whitening of C2, avoiding
-    explicit inverses.
+    explicit inverses. scipy is imported here, not with the module: no
+    pipeline path calls this, and importing scipy takes about half a second.
     """
+    from scipy.linalg import solve_triangular
+
     C1, C2 = _check_pair(C1, C2)
     try:
         L = np.linalg.cholesky(C2)

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import struct
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -157,8 +159,35 @@ class TestEnroll:
         assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
         assert "smaller than kernel support 301" in err
 
+    @pytest.mark.parametrize("line", ["directions=17", "scales=9"])
+    def test_bank_beyond_bounds_exits_2(self, small_dataset, tmp_path, capsys, line):
+        config = tmp_path / "big.cfg"
+        config.write_text(CONFIG_TEXT + line + "\n")
+        code = main(["enroll", "--config", str(config), "--manifest", small_dataset[0],
+                     "--out", str(tmp_path / "m.bin")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: config:") and err.count("\n") == 1
+        assert "directions must be in 1..16 and scales in 1..8" in err
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestIdentify:
+    @pytest.mark.parametrize("field,value", [("directions", 17), ("scales", 9)])
+    def test_model_with_bank_beyond_bounds_exits_3(self, small_dataset, model_file, tmp_path,
+                                                   capsys, field, value):
+        # directions and scales are the first two u32 of the config block,
+        # after the magic and the u16 version; the CRC is made valid again
+        offset = 6 + 4 * [f.name for f in dataclasses.fields(RunConfig)].index(field)
+        body = bytearray(Path(model_file).read_bytes()[:-4])
+        body[offset:offset + 4] = struct.pack("<I", value)
+        bad = tmp_path / "big.bin"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        probe = small_dataset[0].replace("gallery.csv", "images/class00_probe0.pgm")
+        code = main(["identify", "--model", str(bad), "--image", probe])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        assert "config block: directions must be in 1..16 and scales in 1..8" in err
+
     def test_stdout_ranking(self, small_dataset, model_file, capsys):
         gallery_manifest, _ = small_dataset
         probe = gallery_manifest.replace("gallery.csv", "images/class00_probe0.pgm")

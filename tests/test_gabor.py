@@ -30,6 +30,14 @@ class TestParams:
     def test_num_subbands(self):
         assert params_8x5().num_subbands == 40
 
+    @pytest.mark.parametrize("directions,scales", [(17, 4), (8, 9), (0, 4), (8, 0)])
+    def test_rejects_bank_out_of_bounds(self, directions, scales):
+        with pytest.raises(ConfigError, match=r"directions must be in 1\.\.16 and scales in 1\.\.8"):
+            GaborParams(directions=directions, scales=scales)
+
+    def test_accepts_largest_bank(self):
+        assert GaborParams(directions=16, scales=8).num_subbands == 128
+
 
 class TestBuildKernel:
     def test_dc_free_all_kernels(self):
@@ -149,7 +157,9 @@ def fftconvolve_reference(image, bank):
 
 
 class TestDecomposeBitwise:
-    @pytest.mark.parametrize("shape", [(64, 64), (37, 50)])
+    # FFT lengths (8x4-w9): 80x80, 54x72, 108x54, 120x100, 75x135, so
+    # radices 2, 3 and 5 mixed, and odd lengths
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (91, 37), (100, 81), (59, 117)])
     @pytest.mark.parametrize(
         "params", [GaborParams(), GaborParams(directions=3, scales=2, window_len=7)],
         ids=["8x4-w9", "3x2-w7"],
@@ -158,6 +168,15 @@ class TestDecomposeBitwise:
         bank = build_bank(params)
         for image in (rng.uniform(0.0, 1.0, shape), 3.0 * rng.standard_normal(shape)):
             assert np.array_equal(decompose(image, bank), fftconvolve_reference(image, bank))
+
+
+class TestNextFastLen:
+    def test_equals_scipy_real_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        assert [gabor.next_fast_len(n) for n in range(1, 5001)] == [
+            next_fast_len(n, real=True) for n in range(1, 5001)
+        ]
 
 
 class TestDecomposeCores:

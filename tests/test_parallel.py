@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 
@@ -13,6 +15,18 @@ def cores(monkeypatch):
         monkeypatch.setattr(parallel, "CORES", n)
 
     return set_cores
+
+
+class TestAffinity:
+    def test_one_core_affinity_gives_one_core(self):
+        # the child pins itself to one CPU before lglg reads its affinity
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from lglg import parallel; print(parallel.AFFINITY, parallel.CORES)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parallel.__file__))})
+        assert out.stdout == "1 1\n"
 
 
 class TestSplit:

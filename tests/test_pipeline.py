@@ -131,7 +131,7 @@ class TestJobsClamp:
         RecordingExecutor.max_workers = []
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp: path)
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "AFFINITY", 4)
         return RecordingExecutor.max_workers
 
     @pytest.mark.parametrize(
@@ -141,6 +141,12 @@ class TestJobsClamp:
         paths = [f"img{i}.pgm" for i in range(n_paths)]
         assert pipeline._extract_many(paths, [RunConfig()], None, jobs) == [[p] for p in paths]
         assert recorded == expected
+
+    def test_one_core_in_affinity_starts_no_pool(self, recorded, monkeypatch):
+        monkeypatch.setattr(parallel, "AFFINITY", 1)
+        paths = [f"img{i}.pgm" for i in range(3)]
+        assert pipeline._extract_many(paths, [RunConfig()], None, 8) == [[p] for p in paths]
+        assert recorded == []
 
 
 class TestPool:
