@@ -31,6 +31,8 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
     gallery = pipeline.load_model(args.model)
     result = pipeline.identify(
         gallery, args.image, gallery.config, keypoints_dir=args.keypoints_dir

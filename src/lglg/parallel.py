@@ -1,14 +1,15 @@
 """Cores and BLAS threads: the one module that decides how many of each
 extraction uses.
 
-One image's extraction splits its Gabor subbands and its Gaussian block
-stacks across the cores of the process's CPU affinity with :func:`split`.
-The work is numpy FFT and LAPACK code that releases the interpreter
-lock, and each part writes its own output rows, so the result is bitwise
-that of one thread. Helper threads live for one split only: none is alive
-when a process pool forks. Within one extraction (:func:`one_blas_thread`),
-numpy's bundled OpenBLAS is held to one thread from the first split on, so
-that its own threads do not compete with the helpers. Where that OpenBLAS
+One image's extraction splits its Gabor subbands, and then its block list,
+across the cores of the process's CPU affinity with :func:`split`: one
+split per stage. The work is numpy FFT and LAPACK code that releases the
+interpreter lock, and each part writes its own output rows, so the result
+is bitwise that of one thread. Helper threads live for one split only:
+none is alive when a process pool forks. Within one extraction
+(:func:`one_blas_thread`), numpy's bundled OpenBLAS is held to one thread
+from the first split on, so that its own threads do not compete with the
+helpers. Where that OpenBLAS
 cannot be found, :data:`CORES` is 1 and extraction runs on one thread, as it
 does in process-pool workers. Process pools run at most :data:`AFFINITY`
 workers.

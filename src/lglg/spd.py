@@ -97,20 +97,17 @@ def riemannian_distance(C1: np.ndarray, C2: np.ndarray) -> float:
     """Affine-invariant distance sqrt(sum ln^2 lambda_i) over generalized
     eigenvalues of (C1, C2).
 
-    The generalized problem is solved by Cholesky whitening of C2, avoiding
-    explicit inverses. scipy is imported here, not with the module: no
-    pipeline path calls this, and importing scipy takes about half a second.
+    The generalized problem is solved by Cholesky whitening of C2, with
+    solves against the factor instead of explicit inverses.
     """
-    from scipy.linalg import solve_triangular
-
     C1, C2 = _check_pair(C1, C2)
     try:
         L = np.linalg.cholesky(C2)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("second argument is not SPD") from exc
     # L^{-1} C1 L^{-T}: symmetric, same generalized eigenvalues as (C1, C2)
-    Y = solve_triangular(L, C1, lower=True)
-    M = solve_triangular(L, Y.T, lower=True).T
+    Y = np.linalg.solve(L, C1)
+    M = np.linalg.solve(L, Y.T).T
     w = np.linalg.eigvalsh(_symmetrize(M))
     if w[0] <= 0.0:
         raise NotPositiveDefinite("first argument is not SPD")

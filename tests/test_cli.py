@@ -198,6 +198,15 @@ class TestIdentify:
         assert len(lines) == 4
         assert lines[1].startswith("1,class00,")
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_top_below_one_exits_2(self, small_dataset, model_file, capsys, top):
+        gallery_manifest, _ = small_dataset
+        probe = gallery_manifest.replace("gallery.csv", "images/class00_probe0.pgm")
+        code = main(["identify", "--model", model_file, "--image", probe, "--top", top])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: config: --top must be at least 1, got {top}\n"
+
     def test_probe_of_other_size_names_probe(self, model_file, tmp_path, capsys):
         probe = tmp_path / "small.pgm"
         write_pgm(str(probe), np.rint(255 * grating(32, 0.3, 0.5)))

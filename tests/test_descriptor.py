@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_spd
-from lglg import descriptor, gabor, parallel, spd
+from lglg import descriptor, gabor, parallel, pipeline, spd
 from lglg.config import RunConfig
 from lglg.descriptor import (
     GaussianDescriptor,
@@ -29,7 +29,7 @@ from lglg.errors import (
     NotPositiveDefinite,
     TooFewSamples,
 )
-from lglg.formats import load_keypoints
+from lglg.formats import load_keypoints, write_pgm
 from lglg.gabor import build_bank, decompose
 from lglg.preprocess import preprocess_chain
 
@@ -226,7 +226,7 @@ class TestSubbandsChecksFirst:
 
 @pytest.fixture
 def split_everything(monkeypatch):
-    """Every plane loop and block stack splits across cores, however small."""
+    """Every plane loop and block list splits across cores, however small."""
     monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", 0)
     monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", 1)
 
@@ -246,8 +246,8 @@ class TestCoresBitwise:
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_grid_blocks_split_unevenly(self, rng, monkeypatch, cores):
-        # 196 blocks in stacks of 64, 64, 64 and 4: each 64 splits into 32+32
-        # or 21+21+22 blocks; the 4 stays whole
+        # 196 blocks split once: 98+98 blocks (three stacks of 32 and one of
+        # 2 per thread) or 65+65+66
         cfg = RunConfig(block_size=7)
         image = rng.uniform(0.0, 1.0, (100, 100))
         one = feature_bytes(monkeypatch, 1, image, cfg)
@@ -287,9 +287,39 @@ class TestCoresBitwise:
             return out
 
         monkeypatch.setattr(descriptor, "split", recording)
-        stack = rng.uniform(0.0, 1.0, (blocks, 4, 5, 5))
-        block_feature(estimate_gaussian(stack))
-        assert seen == [parts, parts]
+        planes = rng.uniform(0.0, 1.0, (4, 5, 5 * blocks))  # one row of 5x5 blocks
+        block_features(planes, RunConfig(block_size=5))
+        assert seen == [parts]
+
+
+class TestWrappedNamesOnCallingThread:
+    def test_split_extraction_calls_them_from_the_calling_thread_only(
+        self, rng, tmp_path, monkeypatch, split_everything
+    ):
+        # perfbench/layers.py wraps these names and keeps one span stack for
+        # all threads, so a helper thread must never call one of them
+        monkeypatch.setattr(parallel, "CORES", 2)
+        idents = []
+
+        def recorder(fn):
+            def record(*args, **kwargs):
+                idents.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return record
+
+        wrapped = [
+            (descriptor, ("preprocess_chain", "build_bank", "decompose",
+                          "estimate_gaussian", "block_feature")),
+            (pipeline, ("image_feature", "read_pgm")),
+        ]
+        for module, names in wrapped:
+            for name in names:
+                monkeypatch.setattr(module, name, recorder(getattr(module, name)))
+        path = tmp_path / "probe.pgm"
+        write_pgm(str(path), rng.integers(0, 256, (100, 100)))
+        pipeline.extract_feature(str(path), RunConfig(block_size=7))
+        assert len(idents) >= 5 and set(idents) == {threading.get_ident()}
 
 
 @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")

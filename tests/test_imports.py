@@ -1,6 +1,5 @@
-"""Import cost: the pipeline modules load no scipy module. scipy takes about
-half a second to import and serves only ``spd.riemannian_distance`` and the
-tests' oracles."""
+"""Import cost: lglg loads no scipy module. scipy takes about half a second
+to import and serves only the tests' oracles."""
 
 import os
 import subprocess
@@ -12,7 +11,10 @@ import lglg
 def test_pipeline_imports_load_no_scipy():
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import lglg, lglg.cli, lglg.pipeline, lglg.descriptor, lglg.synthetic\n"
+        "from lglg.spd import riemannian_distance\n"
+        "assert riemannian_distance(np.eye(3), 2.0 * np.eye(3)) > 0.0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lglg.__file__))}

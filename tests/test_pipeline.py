@@ -204,7 +204,7 @@ class TestPool:
     def test_pool_after_threaded_identify_equals_jobs_1(
         self, benchmark_dataset, benchmark_gallery, default_config, tmp_path, monkeypatch
     ):
-        # every plane loop and block stack splits, so lglg threads have run
+        # every plane loop and block list splits, so lglg threads have run
         # in this process before each pool forks
         monkeypatch.setattr(parallel, "CORES", 2)
         monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", 0)
