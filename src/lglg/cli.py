@@ -8,7 +8,7 @@ import itertools
 import sys
 
 from . import pipeline
-from .config import MODE_KEYPOINT
+from .config import MODE_KEYPOINT, RunConfig
 from .errors import ConfigError, LglgError
 from .formats import load_config, load_manifest, parse_grid_file
 
@@ -17,12 +17,21 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 
-def _fmt_acc(value: float | None) -> str:
-    return "" if value is None else f"{value:.4f}"
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+
+
+def _check_keypoints_dir(configs: list[RunConfig], keypoints_dir: str | None) -> None:
+    """A usage error, so reported before any manifest or image is read."""
+    if keypoints_dir is None and any(c.mode == MODE_KEYPOINT for c in configs):
+        raise ConfigError("keypoint mode requires --keypoints-dir")
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     config = load_config(args.config)
+    _check_keypoints_dir([config], args.keypoints_dir)
     records = load_manifest(args.manifest)
     gallery = pipeline.enroll(records, config, keypoints_dir=args.keypoints_dir, jobs=args.jobs)
     pipeline.save_model(gallery, args.out)
@@ -34,6 +43,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     gallery = pipeline.load_model(args.model)
+    _check_keypoints_dir([gallery.config], args.keypoints_dir)
     result = pipeline.identify(
         gallery, args.image, gallery.config, keypoints_dir=args.keypoints_dir
     )
@@ -51,17 +61,19 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gallery = pipeline.load_model(args.model)
+    _check_keypoints_dir([gallery.config], args.keypoints_dir)
     records = load_manifest(args.manifest)
     rows = pipeline.evaluate(gallery, records, gallery.config, keypoints_dir=args.keypoints_dir)
     lines = ["subset,n_probes,rank1,rank5"]
     for subset, n, rank1, rank5 in rows:
-        lines.append(f"{subset},{n},{_fmt_acc(rank1)},{_fmt_acc(rank5)}")
+        lines.append(f"{subset},{n},{rank1:.4f},{rank5:.4f}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     base = load_config(args.config)
     grid = parse_grid_file(args.grid)
     keys = [k for k, _ in grid]
@@ -73,6 +85,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"grid gives keypoint_count {counts} in keypoint mode; every row reads the same "
             "--keypoints-dir, whose files hold one count, so give keypoint_count one value"
         )
+    _check_keypoints_dir(configs, args.keypoints_dir)
     gallery_records = load_manifest(args.gallery_manifest)
     probe_records = load_manifest(args.probe_manifest)
 

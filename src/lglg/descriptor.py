@@ -4,7 +4,8 @@ A preprocessed image is Gabor-decomposed once into a subband stack; blocks
 (regular grid or keypoint-centred) index into it, each block yielding a
 Gaussian over its per-pixel subband-magnitude vectors, embedded into flat
 space and half-vectorized. Configs that differ only in block settings can
-share one stack through :func:`sharing_subbands`.
+share one stack of an image through a dict that the caller passes to
+:func:`subbands` for that image.
 
 :func:`block_features` splits an image's block list across cores once;
 its helper threads call only the private kernels, never a public function
@@ -13,8 +14,6 @@ of this module.
 
 from __future__ import annotations
 
-import contextlib
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,47 +139,23 @@ def block_feature(g: GaussianDescriptor) -> np.ndarray:
     return _embed(g.mu, g.cov)
 
 
-class _SubbandSlot:
-    key: tuple | None = None
-    planes: np.ndarray | None = None
-
-
-#: The slot of the open :func:`sharing_subbands` scope; None outside one.
-_shared: _SubbandSlot | None = None
-
-
-@contextlib.contextmanager
-def sharing_subbands() -> Iterator[None]:
-    """Scope in which :func:`subbands` keeps the stack it computed last and
-    returns it again for the same image bytes and subband settings.
-
-    The scope holds one stack: it is emptied before each recompute and when
-    the scope exits, so a stack never outlives the image it belongs to."""
-    global _shared
-    _shared = _SubbandSlot()
-    try:
-        yield
-    finally:
-        _shared = None
-
-
-def subbands(image: np.ndarray, config: RunConfig) -> np.ndarray:
+def subbands(image: np.ndarray, config: RunConfig, stacks: dict | None = None) -> np.ndarray:
     """Preprocess, then Gabor-decompose: the (d, h, w) magnitude stack. It
     depends only on ``config.preprocess_params()`` and
-    ``config.gabor_params()``; block settings act after it. Inside
-    :func:`sharing_subbands` a repeat call returns the kept stack."""
-    pre_params, gabor_params = config.preprocess_params(), config.gabor_params()
+    ``config.gabor_params()``; block settings act after it.
+
+    ``stacks`` belongs to one image: a repeat call with the same settings
+    returns the stack kept in it, and a new stack replaces the kept one, so
+    it holds at most one."""
+    pre_params, gabor_params = key = (config.preprocess_params(), config.gabor_params())
+    if stacks is not None and key in stacks:
+        return stacks[key]
     # before the bank is built: a large window_len would allocate it first
     check_fits(np.shape(image), gabor_params.window_len)
-    slot = _shared
-    if slot is not None:
-        key = (image.shape, image.dtype, image.tobytes(), pre_params, gabor_params)
-        if slot.key == key:
-            return slot.planes
-        slot.key = slot.planes = None
     planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params))
-    if slot is not None:
-        slot.key, slot.planes = key, planes
+    if stacks is not None:
+        stacks.clear()
+        stacks[key] = planes
     return planes
 
 
@@ -227,9 +202,10 @@ def image_feature(
     image: np.ndarray,
     config: RunConfig,
     keypoints: list[tuple[float, float]] | None = None,
+    stacks: dict | None = None,
 ) -> np.ndarray:
-    """Full extraction for one image: :func:`subbands`, then
-    :func:`block_features`, in one :func:`lglg.parallel.one_blas_thread`
+    """Full extraction for one image: :func:`subbands` (sharing ``stacks``),
+    then :func:`block_features`, in one :func:`lglg.parallel.one_blas_thread`
     scope: OpenBLAS runs one thread from the first split across cores on."""
     with one_blas_thread():
-        return block_features(subbands(image, config), config, keypoints)
+        return block_features(subbands(image, config, stacks), config, keypoints)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import parallel
 from .config import CONFIG_BLOCK_SIZE, MODE_KEYPOINT, RunConfig
-from .descriptor import image_feature, sharing_subbands
+from .descriptor import image_feature
 from .errors import (
     ChecksumMismatch,
     ConfigError,
@@ -66,8 +66,12 @@ class MatchResult:
         return None
 
 
-def extract_feature(path: str, config: RunConfig, keypoints_dir: str | None = None) -> np.ndarray:
-    """Load one image and run the full descriptor pipeline on it."""
+def extract_feature(
+    path: str, config: RunConfig, keypoints_dir: str | None = None, stacks: dict | None = None
+) -> np.ndarray:
+    """Load one image and run the full descriptor pipeline on it. Calls that
+    pass the same ``stacks`` dict for one image share its subband stack
+    (:func:`lglg.descriptor.subbands`)."""
     try:
         image = read_pgm(path).astype(np.float64) / 255.0
         keypoints = None
@@ -75,7 +79,7 @@ def extract_feature(path: str, config: RunConfig, keypoints_dir: str | None = No
             if keypoints_dir is None:
                 raise ManifestError("keypoint mode requires --keypoints-dir")
             keypoints = load_keypoints(keypoint_path(path, keypoints_dir), config.keypoint_count)
-        return image_feature(image, config, keypoints=keypoints)
+        return image_feature(image, config, keypoints=keypoints, stacks=stacks)
     except ExtractionError:
         raise
     except (LglgError, OSError) as exc:
@@ -88,8 +92,8 @@ def _extract_all(
     """:func:`extract_feature` of ``path`` under each of ``configs``, in
     order. Configs with the same preprocess and Gabor settings share one
     subband stack of the image."""
-    with sharing_subbands():
-        return [extract_feature(path, config, keypoints_dir) for config in configs]
+    stacks: dict = {}
+    return [extract_feature(path, config, keypoints_dir, stacks) for config in configs]
 
 
 def _extract_many(
@@ -217,24 +221,17 @@ def evaluate(
     records: list[ManifestRecord],
     config: RunConfig,
     keypoints_dir: str | None = None,
-    subsets: list[str] | None = None,
-) -> list[tuple[str, int, float | None, float | None]]:
+) -> list[tuple[str, int, float, float]]:
     """Per-subset (subset, n_probes, rank1, rank5) rows, subsets in first-
-    appearance order (after any pre-declared ``subsets``). Accuracies are
-    None for empty subsets."""
-    by_subset: dict[str, list[MatchResult]] = {s: [] for s in subsets or []}
-    for rec in records:
-        by_subset.setdefault(rec.subset, [])
+    appearance order."""
+    by_subset: dict[str, list[MatchResult]] = {}
     for rec in records:
         res = identify(gallery, rec.path, config, keypoints_dir, true_subject=rec.subject_id)
-        by_subset[rec.subset].append(res)
-    rows: list[tuple[str, int, float | None, float | None]] = []
-    for subset, results in by_subset.items():
-        if not results:
-            rows.append((subset, 0, None, None))
-        else:
-            rows.append((subset, len(results), rank_accuracy(results, 1), rank_accuracy(results, 5)))
-    return rows
+        by_subset.setdefault(rec.subset, []).append(res)
+    return [
+        (subset, len(results), rank_accuracy(results, 1), rank_accuracy(results, 5))
+        for subset, results in by_subset.items()
+    ]
 
 
 def sweep(

@@ -60,19 +60,11 @@ def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
     mean = X.mean(axis=0)
     Xc = X - mean
 
-    if dim > n:
-        gram = Xc @ Xc.T / n
-        w, v = np.linalg.eigh(0.5 * (gram + gram.T))
-        w = w[::-1]
-        v = v[:, ::-1]
-    else:
-        cov = Xc.T @ Xc / n
-        w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-        w = w[::-1]
-        v = v[:, ::-1]
-
-    if w[0] <= 0.0:
-        raise DegenerateTrainingSet("training features have rank 0")
+    c = Xc @ Xc.T / n if dim > n else Xc.T @ Xc / n
+    w, v = np.linalg.eigh(0.5 * (c + c.T))
+    w, v = w[::-1], v[:, ::-1]
+    # zero when the largest eigenvalue is not positive or is NaN (the Gram
+    # matrix overflowed)
     rank = int(np.sum(w > RANK_CUTOFF_REL * w[0]))
     if rank == 0:
         raise DegenerateTrainingSet("training features have rank 0")

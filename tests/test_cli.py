@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import struct
+import weakref
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lglg import descriptor, pipeline
+from lglg import descriptor, parallel, pipeline
 from lglg.cli import main
 from lglg.config import RunConfig
 from lglg.errors import ExtractionError
@@ -295,6 +296,72 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+class TestUsageErrors:
+    """Usage errors exit 2 with one stderr line, before any image is read."""
+
+    @pytest.fixture
+    def no_image_read(self, monkeypatch):
+        def fail(path):
+            raise AssertionError(f"{path} read before a usage error was reported")
+
+        monkeypatch.setattr(pipeline, "read_pgm", fail)
+
+    @pytest.fixture
+    def keypoint_config(self, tmp_path):
+        cfg = tmp_path / "kp.cfg"
+        cfg.write_text(CONFIG_TEXT + "mode=keypoint\nkeypoint_count=2\n")
+        return str(cfg)
+
+    @pytest.fixture
+    def keypoint_model(self, model_file, tmp_path):
+        gallery = pipeline.load_model(model_file)
+        config = dataclasses.replace(gallery.config, mode="keypoint", keypoint_count=2)
+        path = str(tmp_path / "kp.bin")
+        pipeline.save_model(dataclasses.replace(gallery, config=config), path)
+        return path
+
+    def argv(self, command, dataset, config, tmp_path):
+        gallery_manifest, probe_manifest = dataset
+        if command == "enroll":
+            return ["enroll", "--config", config, "--manifest", gallery_manifest,
+                    "--out", str(tmp_path / "m.bin")]
+        grid = tmp_path / "grid.txt"
+        grid.write_text("k_requested=3,4\n")
+        return ["sweep", "--config", config, "--grid", str(grid),
+                "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest,
+                "--out", str(tmp_path / "sweep.csv")]
+
+    def one_config_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["enroll", "sweep"])
+    def test_jobs_below_one_exits_2(self, small_dataset, config_file, tmp_path, capsys,
+                                    no_image_read, command, jobs):
+        argv = self.argv(command, small_dataset, config_file, tmp_path) + ["--jobs", jobs]
+        err = self.one_config_line(capsys, argv)
+        assert err == f"error: config: --jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize("command", ["enroll", "sweep"])
+    def test_keypoint_mode_without_dir_exits_2(self, small_dataset, keypoint_config, tmp_path,
+                                               capsys, no_image_read, command):
+        argv = self.argv(command, small_dataset, keypoint_config, tmp_path)
+        err = self.one_config_line(capsys, argv)
+        assert err == "error: config: keypoint mode requires --keypoints-dir\n"
+
+    def test_keypoint_model_without_dir_exits_2(self, small_dataset, keypoint_model, tmp_path,
+                                                capsys, no_image_read):
+        probe = load_manifest(small_dataset[1])[0].path
+        for argv in (["identify", "--model", keypoint_model, "--image", probe],
+                     ["evaluate", "--model", keypoint_model, "--manifest", small_dataset[1],
+                      "--out", str(tmp_path / "eval.csv")]):
+            err = self.one_config_line(capsys, argv)
+            assert err == "error: config: keypoint mode requires --keypoints-dir\n"
+
+
 @pytest.fixture(scope="module")
 def sweep_dataset(tmp_path_factory):
     """Noisy enough that sweep rows differ in accuracy."""
@@ -347,9 +414,9 @@ class TestSweepSharesExtraction:
         calls = Counter()
         extract = pipeline.extract_feature
 
-        def counting(path, config, keypoints_dir=None):
+        def counting(path, config, keypoints_dir=None, stacks=None):
             calls[path, config.feature_fingerprint()] += 1
-            return extract(path, config, keypoints_dir)
+            return extract(path, config, keypoints_dir, stacks)
 
         monkeypatch.setattr(pipeline, "extract_feature", counting)
         configs = [RunConfig(block_size=b, k_requested=k)
@@ -413,7 +480,8 @@ class TestSweepSharesExtraction:
         accuracies = [line.rsplit(b",", 1)[1] for line in expected.splitlines()[1:]]
         assert len(set(accuracies)) > 1
 
-    def test_keypoint_sweep_shares_subbands(self, sweep_dataset, tmp_path, decompose_calls):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keypoint_sweep_shares_subbands(self, sweep_dataset, tmp_path, decompose_calls, jobs):
         keypoints = tmp_path / "kp"
         keypoints.mkdir()
         points = "".join(f"{x} {y}\n" for x, y in [(16, 16), (48, 20), (32, 40), (20, 50), (50, 50)])
@@ -425,10 +493,13 @@ class TestSweepSharesExtraction:
         # keypoint_count stays fixed: every row reads the same sidecar files,
         # and each must hold exactly keypoint_count points
         got, grid = self.run_sweep(sweep_dataset, str(config), tmp_path,
-                                   "block_size=11,21\nridge_scale=0.0001,0.1\n",
+                                   "block_size=11,21\nridge_scale=0.0001,0.1\n", jobs,
                                    keypoints_dir=str(keypoints))
+        # pool workers decompose the gallery out of this process's sight
+        gallery, probes = (len(load_manifest(m)) for m in sweep_dataset)
+        pooled = min(jobs, gallery, parallel.AFFINITY) > 1
         assert set(decompose_calls.values()) == {1}
-        assert len(decompose_calls) == self.images(sweep_dataset)
+        assert len(decompose_calls) == probes + (0 if pooled else gallery)
         assert got == reference_sweep_csv(str(config), grid, *sweep_dataset, str(keypoints))
 
     def test_identify_twice_decomposes_twice(self, sweep_dataset, decompose_calls):
@@ -440,14 +511,24 @@ class TestSweepSharesExtraction:
             pipeline.identify(gallery, probe_records[0].path, config)
         assert list(decompose_calls.values()) == [2]
 
-    def test_slot_empty_after_extract_all(self, sweep_dataset):
+    def test_stacks_freed_after_extract_all(self, sweep_dataset, monkeypatch):
+        refs = []
+        decompose = descriptor.decompose
+
+        def recording(image, bank):
+            planes = decompose(image, bank)
+            refs.append(weakref.ref(planes))
+            return planes
+
+        monkeypatch.setattr(descriptor, "decompose", recording)
         path = load_manifest(sweep_dataset[0])[0].path
-        configs = [RunConfig(block_size=11), RunConfig(block_size=15)]
+        configs = [RunConfig(block_size=11), RunConfig(sigma_pi=1.2), RunConfig(block_size=15)]
         pipeline._extract_all(path, configs, None)
-        assert descriptor._shared is None
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        refs.clear()
         with pytest.raises(ExtractionError):
             pipeline._extract_all(path, configs + [RunConfig(block_size=99)], None)
-        assert descriptor._shared is None
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
 
     @pytest.mark.parametrize("base_mode, grid_text, code", [
         ("keypoint", "keypoint_count=5,6\nblock_size=11\n", 2),

@@ -18,7 +18,6 @@ from lglg.descriptor import (
     image_feature,
     keypoint_blocks,
     partition_blocks,
-    sharing_subbands,
     subbands,
 )
 from lglg.errors import (
@@ -379,36 +378,25 @@ class TestSharingSubbands:
     def test_block_settings_share_one_stack(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
         configs = [RunConfig(block_size=b, ridge_scale=r) for b in (11, 15, 21) for r in (1e-4, 0.1)]
-        with sharing_subbands():
-            shared = [image_feature(image.copy(), c) for c in configs]
+        stacks = {}
+        shared = [image_feature(image, c, stacks=stacks) for c in configs]
         assert len(decompose_calls) == 1
         alone = [image_feature(image, c) for c in configs]
         assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
 
-    def test_recomputes_for_other_settings_or_pixels(self, rng, decompose_calls):
+    def test_other_settings_recompute_and_replace_the_stack(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
-        other = image.copy()
-        other[5, 7] += 1e-9
-        with sharing_subbands():
-            for img, sigma_pi in [(image, 1.0), (image, 1.2), (image, 1.0), (other, 1.0)]:
-                image_feature(img, RunConfig(sigma_pi=sigma_pi))
-        assert len(decompose_calls) == 4
+        stacks = {}
+        for sigma_pi in (1.0, 1.2, 1.0):
+            planes = subbands(image, RunConfig(sigma_pi=sigma_pi), stacks)
+        assert len(decompose_calls) == 3
+        assert len(stacks) == 1 and next(iter(stacks.values())) is planes
 
-    def test_no_sharing_outside_the_scope(self, rng, decompose_calls):
+    def test_no_sharing_without_a_dict(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
         image_feature(image, RunConfig())
         image_feature(image, RunConfig())
         assert len(decompose_calls) == 2
-
-    def test_slot_emptied_on_exit_and_on_error(self, rng):
-        image = rng.uniform(0.0, 1.0, (64, 64))
-        with sharing_subbands():
-            subbands(image, RunConfig())
-            assert descriptor._shared.planes is not None
-        assert descriptor._shared is None
-        with pytest.raises(KeypointError), sharing_subbands():
-            image_feature(image, RunConfig(mode="keypoint"))
-        assert descriptor._shared is None
 
 
 def gaussian_oracle(block, ridge_scale):

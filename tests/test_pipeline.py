@@ -130,7 +130,7 @@ class TestJobsClamp:
     def recorded(self, monkeypatch):
         RecordingExecutor.max_workers = []
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp: path)
+        monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp, stacks=None: path)
         monkeypatch.setattr(parallel, "AFFINITY", 4)
         return RecordingExecutor.max_workers
 
@@ -349,11 +349,8 @@ class TestRankAccuracy:
 class TestEvaluate:
     def test_declared_empty_subset(self, benchmark_gallery, benchmark_dataset, default_config):
         records = pipeline.load_manifest(benchmark_dataset[1])[:2]
-        rows = pipeline.evaluate(
-            benchmark_gallery, records, default_config, subsets=["noisy", "unused"]
-        )
-        assert rows[0][0] == "noisy" and rows[0][1] == 2
-        assert rows[1] == ("unused", 0, None, None)
+        rows = pipeline.evaluate(benchmark_gallery, records, default_config)
+        assert [row[:2] for row in rows] == [("noisy", 2)]
 
 
 class TestPersistence:
