@@ -7,9 +7,9 @@ space and half-vectorized. Configs that differ only in block settings can
 share one stack of an image through a dict that the caller passes to
 :func:`subbands` for that image.
 
-:func:`block_features` splits an image's block list across cores once;
-its helper threads call only the private kernels, never a public function
-of this module.
+:func:`block_features` splits an image's block list across cores once,
+and OpenBLAS runs one thread while that split's helpers run; they call
+only the private kernels, never a public function of this module.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import spd
 from .config import MODE_KEYPOINT, RunConfig
 from .errors import BlockTooLarge, KeypointError, TooFewSamples
 from .gabor import build_bank, check_fits, decompose
-from .parallel import one_blas_thread, split
+from .parallel import split
 from .preprocess import preprocess_chain
 
 #: Blocks per stacked Gaussian/embedding pass of one thread in
@@ -205,7 +205,7 @@ def image_feature(
     stacks: dict | None = None,
 ) -> np.ndarray:
     """Full extraction for one image: :func:`subbands` (sharing ``stacks``),
-    then :func:`block_features`, in one :func:`lglg.parallel.one_blas_thread`
-    scope: OpenBLAS runs one thread from the first split across cores on."""
-    with one_blas_thread():
-        return block_features(subbands(image, config, stacks), config, keypoints)
+    then :func:`block_features`. Each split across cores in them holds
+    OpenBLAS to one thread while its helper threads run
+    (:func:`lglg.parallel.split`)."""
+    return block_features(subbands(image, config, stacks), config, keypoints)

@@ -6,23 +6,20 @@ across the cores of the process's CPU affinity with :func:`split`: one
 split per stage. The work is numpy FFT and LAPACK code that releases the
 interpreter lock, and each part writes its own output rows, so the result
 is bitwise that of one thread. Helper threads live for one split only:
-none is alive when a process pool forks. Within one extraction
-(:func:`one_blas_thread`), numpy's bundled OpenBLAS is held to one thread
-from the first split on, so that its own threads do not compete with the
-helpers. Where that OpenBLAS
-cannot be found, :data:`CORES` is 1 and extraction runs on one thread, as it
-does in process-pool workers. Process pools run at most :data:`AFFINITY`
-workers.
+none is alive when a process pool forks. While a split's helper threads
+run, numpy's bundled OpenBLAS is held to one thread, so that its own
+threads do not compete with the helpers. Where that OpenBLAS cannot be
+found, :data:`CORES` is 1 and extraction runs on one thread, as it does in
+process-pool workers. Process pools run at most :data:`AFFINITY` workers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import glob
 import os
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import TypeVar
 
 import numpy as np
@@ -64,46 +61,6 @@ AFFINITY = len(os.sched_getaffinity(0))
 CORES = AFFINITY if _OPENBLAS is not None else 1
 
 
-#: The open :func:`one_blas_thread` scope: empty until a split in it holds
-#: OpenBLAS to one thread, then the count to restore; None outside a scope.
-_scope: list[int] | None = None
-
-
-@contextlib.contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Scope of one extraction. The first :func:`split` in it that starts
-    helper threads sets OpenBLAS to one thread and ends its worker threads;
-    the previous count is restored on exit, which starts the workers again.
-
-    OpenBLAS threads would compete with the helpers, and after a threaded
-    call its workers spin for about 0.1 s: a 256² extraction right after a
-    two-thread matrix-vector product took 235 ms with them and 170 ms
-    without. The count must come back because results computed outside
-    extraction (the WPCA fit) depend on it bitwise. Extractions that split
-    nothing leave OpenBLAS alone: ending and restarting its workers for
-    every 64² image made the benchmark's 64² enrollment up to 30 % slower.
-    No other thread may run OpenBLAS while a scope is open.
-    """
-    global _scope
-    outer, _scope = _scope, []
-    try:
-        yield
-    finally:
-        held, _scope = _scope, outer
-        if held:
-            _OPENBLAS[1](held[0])
-
-
-def _hold_blas() -> None:
-    """Hold OpenBLAS to one thread until the open scope ends, once per scope."""
-    if _scope == [] and _OPENBLAS is not None:
-        get, set_, stop = _OPENBLAS
-        _scope.append(get())
-        # set first: the setter starts the workers again when none are running
-        set_(1)
-        stop()
-
-
 def pool_initializer() -> None:
     """Process-pool initializer: each of N workers runs one thread, so that
     they neither split images nor start a BLAS thread per core."""
@@ -119,11 +76,21 @@ def split(fn: Callable[[int, int], T], n: int, min_part: int = 1) -> list[T]:
     range, run here, when ``n < 2 * min_part``). The calling thread runs the
     first range and helper threads the rest; they are joined before this
     returns, and the first range's exception, in range order, is raised.
-    Inside :func:`one_blas_thread`, OpenBLAS is held to one thread first."""
+
+    While the helpers run, OpenBLAS is held to one thread and its worker
+    threads are ended; the previous count is restored after the join, which
+    starts the workers again. OpenBLAS threads would compete with the
+    helpers, and after a threaded call its workers spin for about 0.1 s: a
+    256² extraction right after a two-thread matrix-vector product took
+    235 ms with them and 170 ms without. The count must come back because
+    results computed outside a split (the WPCA fit) depend on it bitwise.
+    A one-range split leaves OpenBLAS alone: ending and restarting its
+    workers for every 64² image made the benchmark's 64² enrollment up to
+    30 % slower. No other thread may run OpenBLAS while a split runs.
+    """
     parts = max(1, min(CORES, n // min_part))
     if parts == 1:
         return [fn(0, n)]
-    _hold_blas()
     bounds = [n * i // parts for i in range(parts + 1)]
     results: list = [None] * parts
     errors: list[BaseException | None] = [None] * parts
@@ -135,11 +102,21 @@ def split(fn: Callable[[int, int], T], n: int, min_part: int = 1) -> list[T]:
             errors[i] = exc
 
     helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for t in helpers:
-        t.start()
-    run(0)
-    for t in helpers:
-        t.join()
+    if _OPENBLAS is not None:
+        get, set_, stop = _OPENBLAS
+        before = get()
+        # set first: the setter starts the workers again when none are running
+        set_(1)
+        stop()
+    try:
+        for t in helpers:
+            t.start()
+        run(0)
+        for t in helpers:
+            t.join()
+    finally:
+        if _OPENBLAS is not None:
+            set_(before)
     for exc in errors:
         if exc is not None:
             raise exc

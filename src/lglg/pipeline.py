@@ -6,7 +6,6 @@ import contextlib
 import os
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -105,6 +104,10 @@ def _extract_many(
     jobs = min(jobs, len(paths), parallel.AFFINITY)
     if jobs <= 1:
         return [_extract_all(p, configs, keypoints_dir) for p in paths]
+    # here, not at the top: the executor loads multiprocessing, which costs
+    # about 15 ms of a cold start that runs no pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs, initializer=parallel.pool_initializer) as pool:
         return list(pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir)))
 

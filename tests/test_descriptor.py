@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import threading
 
 import numpy as np
@@ -325,31 +324,32 @@ class TestWrappedNamesOnCallingThread:
 class TestBlasHeldDuringSplitExtraction:
     @pytest.fixture
     def blas(self, monkeypatch):
-        """(OpenBLAS thread count, OS thread count) at each ``block_features``
-        call; OpenBLAS runs 2 threads with live workers before each test."""
+        """OpenBLAS thread count at each ``descriptor._gaussian`` call, on
+        whichever thread runs the blocks; OpenBLAS runs 2 threads with live
+        workers before each test."""
         monkeypatch.setattr(parallel, "CORES", 2)
         get, set_, _ = parallel._OPENBLAS
         before = get()
         seen = []
+        gaussian = descriptor._gaussian
 
         def recording(*args):
-            seen.append((get(), len(os.listdir("/proc/self/task"))))
-            return block_features(*args)
+            seen.append(get())
+            return gaussian(*args)
 
-        monkeypatch.setattr(descriptor, "block_features", recording)
+        monkeypatch.setattr(descriptor, "_gaussian", recording)
         set_(2)
         a = np.ones((400, 400))
         a @ a
         yield seen
         set_(before)
 
-    def test_split_extraction_runs_one_blas_thread_and_restores(self, rng, blas, split_everything):
+    def test_split_holds_blas_and_restores(self, rng, blas, split_everything):
         get = parallel._OPENBLAS[0]
-        outside, os_threads = get(), len(os.listdir("/proc/self/task"))
+        outside = get()
         image = rng.uniform(0.0, 1.0, (64, 64))
         image_feature(image, RunConfig())
-        assert blas[0][0] == 1 and get() == outside
-        assert blas[0][1] < os_threads  # the OpenBLAS workers were ended
+        assert blas == [1, 1] and get() == outside  # two parts of 8 blocks
         with pytest.raises(KeypointError):
             image_feature(image, RunConfig(mode="keypoint"))
         assert get() == outside
@@ -358,7 +358,12 @@ class TestBlasHeldDuringSplitExtraction:
         get = parallel._OPENBLAS[0]
         outside = get()
         image_feature(rng.uniform(0.0, 1.0, (64, 64)), RunConfig())
-        assert [count for count, _ in blas] == [outside] and get() == outside
+        assert blas == [outside] and get() == outside
+
+    def test_block_features_alone_holds_blas(self, rng, blas):
+        planes = rng.uniform(0.0, 1.0, (4, 5, 5 * 64))  # 64 blocks: two parts of 32
+        block_features(planes, RunConfig(block_size=5))
+        assert blas == [1, 1] and parallel._OPENBLAS[0]() == 2
 
 
 @pytest.fixture

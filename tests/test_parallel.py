@@ -89,6 +89,9 @@ class TestSplit:
 
 
 class TestOneBlasThread:
+    """A split that starts helper threads holds OpenBLAS to one thread while
+    they run."""
+
     @pytest.fixture
     def blas_calls(self, monkeypatch):
         calls = []
@@ -99,40 +102,50 @@ class TestOneBlasThread:
         ))
         return calls
 
-    def test_first_split_holds_until_the_scope_ends(self, cores, blas_calls):
+    def test_each_split_holds_until_its_helpers_are_joined(self, cores, blas_calls):
         cores(2)
-        with parallel.one_blas_thread():
-            assert blas_calls == []
-            split(lambda lo, hi: None, 4)
-            split(lambda lo, hi: None, 4)
-            assert blas_calls == ["get", "set 1", "stop"]
+        seen = []
+
+        def fn(lo, hi):
+            seen.append(list(blas_calls))
+
+        split(fn, 4)
+        assert seen == [["get", "set 1", "stop"]] * 2
         assert blas_calls == ["get", "set 1", "stop", "set 4"]
+        split(fn, 4)
+        assert blas_calls == ["get", "set 1", "stop", "set 4"] * 2
 
     @pytest.mark.parametrize("n_cores", [1, 2])
     def test_nothing_changes_without_a_split(self, cores, blas_calls, n_cores):
         cores(n_cores)
-        with parallel.one_blas_thread():
-            split(lambda lo, hi: None, 1)
-        split(lambda lo, hi: None, 4)  # outside a scope
+        split(lambda lo, hi: None, 1)
+        split(lambda lo, hi: None, 4, min_part=3)
         assert blas_calls == []
 
-    def test_restored_on_error_and_scopes_nest(self, cores, blas_calls):
+    def test_split_without_openblas_runs_its_parts(self, cores, monkeypatch):
         cores(2)
-        with parallel.one_blas_thread():
-            with pytest.raises(RuntimeError), parallel.one_blas_thread():
-                split(lambda lo, hi: None, 4)
+        monkeypatch.setattr(parallel, "_OPENBLAS", None)
+        assert split(lambda lo, hi: (lo, hi), 4) == [(0, 2), (2, 4)]
+
+    def test_restored_when_a_part_raises(self, cores, blas_calls):
+        cores(2)
+
+        def fn(lo, hi):
+            if lo > 0:
                 raise RuntimeError
-            assert blas_calls == ["get", "set 1", "stop", "set 4"]
-            split(lambda lo, hi: None, 4)
-        assert blas_calls == ["get", "set 1", "stop", "set 4"] * 2
-        assert parallel._scope is None
+
+        with pytest.raises(RuntimeError):
+            split(fn, 4)
+        assert blas_calls == ["get", "set 1", "stop", "set 4"]
 
     @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
     def test_real_openblas_count_restored(self, cores):
         cores(2)
-        get = parallel._OPENBLAS[0]
+        get, set_, _ = parallel._OPENBLAS
         before = get()
-        with parallel.one_blas_thread():
-            split(lambda lo, hi: None, 4)
-            assert get() == 1
-        assert get() == before
+        set_(2)
+        try:
+            assert split(lambda lo, hi: get(), 4) == [1, 1]
+            assert get() == 2
+        finally:
+            set_(before)

@@ -129,7 +129,8 @@ class TestJobsClamp:
     @pytest.fixture
     def recorded(self, monkeypatch):
         RecordingExecutor.max_workers = []
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingExecutor)
+        # _extract_many imports the executor when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp, stacks=None: path)
         monkeypatch.setattr(parallel, "AFFINITY", 4)
         return RecordingExecutor.max_workers
@@ -181,8 +182,8 @@ class TestPool:
 
     @pytest.mark.parametrize("failure", ["no library", "not a library", "no symbol"])
     def test_initializer_is_a_no_op_when_lookup_fails(self, tmp_path, monkeypatch, failure):
-        # the lookup finds nothing, and then neither the initializer nor the
-        # extraction scope touches a BLAS, and one split runs one thread
+        # the lookup finds nothing, and then neither the initializer nor a
+        # split touches a BLAS, and one split runs one thread
         fake = tmp_path / "libscipy_openblas64_fake.so"
         if failure == "not a library":
             fake.write_bytes(b"not ELF")
@@ -194,8 +195,7 @@ class TestPool:
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
         monkeypatch.setattr(parallel, "CORES", 2)
         assert parallel.pool_initializer() is None
-        with parallel.one_blas_thread():
-            assert parallel.split(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
+        assert parallel.split(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
 
     def test_pool_worker_runs_one_core(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_extract_all", _worker_cores)
