@@ -12,9 +12,19 @@ from .errors import ConfigError, ImageTooSmall, InvalidIndex
 from .parallel import split
 
 #: Fewest pixels per plane at which :func:`decompose` splits its planes
-#: across cores. Smaller planes take tens of microseconds per FFT, too short
-#: to hand between threads: split at 64x64 it ran 0.9-1.4x the serial time.
-MIN_SPLIT_PIXELS = 128 * 128
+#: across cores. numpy's FFT holds the interpreter lock, so two threads
+#: overlap only the rest of each kernel's work. With one inverse-FFT pair per
+#: kernel the split pays from 52x52 (13-17 % faster; 64x64 about 20 %); at
+#: 48x48 and below it ranged from 9 % faster to 10 % slower (2-vCPU VM).
+MIN_SPLIT_PIXELS = 52 * 52
+
+#: Fewest pixels per plane at which :func:`decompose` runs each kernel's
+#: real and imaginary parts through the inverse FFT one at a time rather
+#: than as one stacked pair. A pair at 160x160 needs about 3 MB of FFT
+#: buffers, more than a 2 MB L2 cache holds: pairs were 4-6 % faster up to
+#: 144x144, equal at 160x160 and 176x176, and 2-8 % slower from 192x192 to
+#: 256x256 (2-vCPU VM).
+MIN_ONE_PART_PIXELS = 160 * 160
 
 #: Largest bank a config or model file may ask for; the paper's is 8x5 and
 #: the default 8x4. The cached kernel spectra take U*V*2*16 bytes per FFT
@@ -196,8 +206,11 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     path (default) or the direct spatial path used as its oracle.
 
     The FFT path takes one real FFT of the padded image and multiplies it by
-    each cached kernel spectrum. The FFTs go through ``numpy.fft``; FFT
-    length, product order, normalization and output slice are those of
+    each cached kernel spectrum. The real and imaginary parts of a kernel
+    then go through the inverse FFT as one stacked pair, one call per pass,
+    or one part at a time for planes of at least ``MIN_ONE_PART_PIXELS``.
+    The FFTs go through ``numpy.fft``; FFT length, product order,
+    normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
     plane stays bitwise equal to two such convolutions.
     Planes of at least ``MIN_SPLIT_PIXELS`` are split across cores
@@ -226,20 +239,25 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     valid = (slice(wl - 1, wl - 1 + h), slice(wl - 1, wl - 1 + w))
     spectra = kernel_spectra(bank.params, fshape)
     scale = 1.0 / (fshape[0] * fshape[1])
+    pairs = h * w < MIN_ONE_PART_PIXELS
 
     def inverse(product: np.ndarray) -> np.ndarray:
-        # The two passes of an unscaled inverse real FFT: columns, then each
-        # row on its own, so only the rows that `valid` keeps. Then one
-        # multiply by 1/N, as scipy's backward norm does (numpy's default
-        # norm scales once per axis); 1/N rounded from double equals scipy's
-        # from long double for every 5-smooth N up to 1e12.
-        rows = np.fft.ifft(product, axis=0, norm="forward")[valid[0]]
-        return np.fft.irfft(rows, fshape[1], axis=1, norm="forward")[:, valid[1]] * scale
+        # The two passes of an unscaled inverse real FFT over the last two
+        # axes: columns, then each row on its own, so only the rows that
+        # `valid` keeps. Then one multiply by 1/N, as scipy's backward norm
+        # does (numpy's default norm scales once per axis); 1/N rounded
+        # from double equals scipy's from long double for every 5-smooth N
+        # up to 1e12.
+        rows = np.fft.ifft(product, axis=-2, norm="forward")[..., valid[0], :]
+        return np.fft.irfft(rows, fshape[1], axis=-1, norm="forward")[..., valid[1]] * scale
 
     def filter_planes(lo: int, hi: int) -> None:
         for p in range(lo, hi):
-            re_k, im_k = spectra[p]
-            planes[p] = np.hypot(inverse(spectrum * re_k), inverse(spectrum * im_k))
+            if pairs:
+                re, im = inverse(spectrum * spectra[p])
+            else:
+                re, im = (inverse(spectrum * part) for part in spectra[p])
+            np.hypot(re, im, out=planes[p])
 
     if h * w < MIN_SPLIT_PIXELS:
         filter_planes(0, len(bank))

@@ -84,9 +84,12 @@ def split(fn: Callable[[int, int], T], n: int, min_part: int = 1) -> list[T]:
     256² extraction right after a two-thread matrix-vector product took
     235 ms with them and 170 ms without. The count must come back because
     results computed outside a split (the WPCA fit) depend on it bitwise.
-    A one-range split leaves OpenBLAS alone: ending and restarting its
-    workers for every 64² image made the benchmark's 64² enrollment up to
-    30 % slower. No other thread may run OpenBLAS while a split runs.
+    A one-range split leaves OpenBLAS alone. The hold costs about 0.2 ms
+    per split (medians over a 64² enrollment on a 2-vCPU VM: 0.07 ms to end
+    the workers, 0.11 ms to restart them), which a 64² plane split repays:
+    a 64² extraction took 16.4 ms with the split and its hold, 17.2 ms
+    unsplit and 18.0 ms split without the hold. No other thread may run
+    OpenBLAS while a split runs.
     """
     parts = max(1, min(CORES, n // min_part))
     if parts == 1:

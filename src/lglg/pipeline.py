@@ -131,6 +131,15 @@ def _check_gallery_size(records: list[ManifestRecord]) -> None:
         raise DegenerateTrainingSet("enrollment needs at least 2 gallery records")
 
 
+def _check_model_size(n_entries: int, k: int, where: str) -> None:
+    """Refuse a model :func:`enroll` cannot make: fewer than 2 entries or
+    fewer than 2 WPCA components."""
+    if n_entries < 2 or k < 2:
+        raise ModelFormatError(
+            f"{where}{n_entries} entries with {k} components; a model holds at least 2 of each"
+        )
+
+
 def enroll(
     records: list[ManifestRecord],
     config: RunConfig,
@@ -227,6 +236,8 @@ def evaluate(
 ) -> list[tuple[str, int, float, float]]:
     """Per-subset (subset, n_probes, rank1, rank5) rows, subsets in first-
     appearance order."""
+    if not records:
+        raise ManifestError("evaluate needs at least one probe record")
     by_subset: dict[str, list[MatchResult]] = {}
     for rec in records:
         res = identify(gallery, rec.path, config, keypoints_dir, true_subject=rec.subject_id)
@@ -305,6 +316,7 @@ def save_model(gallery: Gallery, path: str) -> None:
                 f"subject id {subject_id[:40]!r}... has {len(sid)} UTF-8 bytes, at most 65535 fit"
             )
     model = gallery.model
+    _check_model_size(len(sids), model.output_dim, "gallery has ")
     parts = [
         MODEL_MAGIC,
         struct.pack("<H", MODEL_VERSION),
@@ -362,6 +374,7 @@ def load_model(path: str) -> Gallery:
     except ConfigError as exc:
         raise ModelFormatError(f"{path}: config block: {exc}") from exc
     input_dim, k, n = struct.unpack("<III", take(12))
+    _check_model_size(n, k, f"{path}: ")
     # every entry holds at least its 2-byte id length and k floats
     need = 8 * (input_dim * (k + 1) + k) + n * (2 + 8 * k)
     if need > len(body) - pos:

@@ -247,6 +247,17 @@ class TestEvaluate:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 3
 
+    def test_no_probes_exits_3(self, model_file, tmp_path, capsys):
+        probes = tmp_path / "probes.csv"
+        probes.write_text("path,subject_id,subset\n")
+        out = tmp_path / "eval.csv"
+        code = main(["evaluate", "--model", model_file, "--manifest", str(probes),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        assert "evaluate needs at least one probe record" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_grid_rows_and_layout(self, small_dataset, config_file, tmp_path):

@@ -182,23 +182,51 @@ class TestNextFastLen:
 class TestDecomposeCores:
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_split_equals_one_thread(self, rng, monkeypatch, cores):
-        # 128x128 planes split without lowering MIN_SPLIT_PIXELS; the 15
-        # planes of a 5x3 bank divide by neither 2 nor 4 cores
+        # 128x128 and 64x64 planes split without lowering MIN_SPLIT_PIXELS,
+        # 37x50 (FFT 54x72) only with it lowered; the 15 planes of a 5x3
+        # bank divide by neither 2 nor 4 cores. Each shape runs with kernel
+        # parts stacked in pairs, then one at a time, as planes from
+        # MIN_ONE_PART_PIXELS run
         bank = build_bank(GaborParams(directions=5, scales=3))
-        image = rng.uniform(0.0, 1.0, (128, 128))
-        monkeypatch.setattr(parallel, "CORES", 1)
-        one = decompose(image, bank)
-        monkeypatch.setattr(parallel, "CORES", cores)
-        assert decompose(image, bank).tobytes() == one.tobytes()
-        assert decompose(image, bank).tobytes() == fftconvolve_reference(image, bank).tobytes()
+        for shape, min_split in [((128, 128), gabor.MIN_SPLIT_PIXELS),
+                                 ((64, 64), gabor.MIN_SPLIT_PIXELS), ((37, 50), 0)]:
+            image = rng.uniform(0.0, 1.0, shape)
+            reference = fftconvolve_reference(image, bank).tobytes()
+            for min_one_part in (gabor.MIN_ONE_PART_PIXELS, 0):
+                monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", min_split)
+                monkeypatch.setattr(gabor, "MIN_ONE_PART_PIXELS", min_one_part)
+                monkeypatch.setattr(parallel, "CORES", 1)
+                one = decompose(image, bank).tobytes()
+                monkeypatch.setattr(parallel, "CORES", cores)
+                split = decompose(image, bank).tobytes()
+                assert split == one and split == reference, (shape, min_one_part)
 
-    @pytest.mark.parametrize("shape, split", [((64, 64), False), ((127, 129), False), ((128, 128), True)])
+    @pytest.mark.parametrize(
+        "shape, split",
+        [((48, 48), False), ((51, 52), False), ((52, 52), True), ((37, 74), True),
+         ((64, 64), True)],
+    )
     def test_splits_from_min_split_pixels(self, monkeypatch, shape, split):
         monkeypatch.setattr(parallel, "CORES", 2)
         calls = []
         monkeypatch.setattr(gabor, "split", lambda fn, n: calls.append(n) or fn(0, n))
         decompose(np.zeros(shape), build_bank(GaborParams()))
         assert calls == ([32] if split else [])
+
+    @pytest.mark.parametrize(
+        "shape, pairs",
+        [((64, 64), True), ((159, 161), True), ((160, 160), False), ((100, 256), False)],
+    )
+    def test_pairs_below_min_one_part_pixels(self, monkeypatch, shape, pairs):
+        # the leading shape of every column transform: (2,) for a kernel's
+        # two parts at once, () for one part
+        leading = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(
+            np.fft, "ifft", lambda a, **kw: leading.append(a.shape[:-2]) or ifft(a, **kw)
+        )
+        decompose(np.zeros(shape), build_bank(GaborParams(directions=1, scales=1)))
+        assert leading == ([(2,)] if pairs else [(), ()])
 
 
 class TestCaches:

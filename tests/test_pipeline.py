@@ -406,15 +406,15 @@ def test_enroll_two_records_explains_kept_components(benchmark_dataset, default_
 DIMS_AT = 6 + CONFIG_BLOCK_SIZE  # magic, version, config block
 
 
-def tiny_gallery(subject_ids=("a", "b", "c")):
+def tiny_gallery(subject_ids=("a", "b", "c"), k=2):
     rng = np.random.default_rng(3)
     model = ProjectionModel(
-        train_mean=rng.standard_normal(5), basis=rng.standard_normal((5, 2)),
-        eigvals=np.array([2.0, 1.0]),
+        train_mean=rng.standard_normal(5), basis=rng.standard_normal((5, k)),
+        eigvals=np.arange(k, 0, -1, dtype=float),
     )
     return pipeline.Gallery(
         config=RunConfig(k_requested=2), model=model, subject_ids=list(subject_ids),
-        features=rng.standard_normal((len(subject_ids), 2)),
+        features=rng.standard_normal((len(subject_ids), k)),
     )
 
 
@@ -492,6 +492,26 @@ class TestModelFile:
         p = tmp_path / "bad.bin"
         save_model(gallery, str(p))
         with pytest.raises(ModelFormatError, match=str(p)):
+            load_model(str(p))
+        code = main(["identify", "--model", str(p), "--image", str(tmp_path / "probe.pgm")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(p) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subject_ids, k", [((), 2), (("a",), 2), (("a", "b", "c"), 1)])
+    def test_too_few_entries_or_components_rejected(
+        self, tmp_path, capsys, monkeypatch, subject_ids, k
+    ):
+        gallery = tiny_gallery(subject_ids, k)
+        p = tmp_path / "small.bin"
+        with pytest.raises(ModelFormatError, match="at least 2 of each"):
+            save_model(gallery, str(p))
+        assert list(tmp_path.iterdir()) == []
+        # a CRC-valid file of such a gallery, as a writer without the check makes it
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_check_model_size", lambda *args: None)
+            save_model(gallery, str(p))
+        with pytest.raises(ModelFormatError, match=f"{p}: {len(subject_ids)} entries with {k} "):
             load_model(str(p))
         code = main(["identify", "--model", str(p), "--image", str(tmp_path / "probe.pgm")])
         assert code == 3
