@@ -8,8 +8,10 @@ share one stack of an image through a dict that the caller passes to
 :func:`subbands` for that image.
 
 :func:`block_features` splits an image's block list across cores once,
-and OpenBLAS runs one thread while that split's helpers run; they call
-only the private kernels, never a public function of this module.
+and OpenBLAS runs one thread while that split runs, whether it makes one
+part or several: the per-block LAPACK calls are too small for OpenBLAS's
+own threads. The helper threads call only the private kernels, never a
+public function of this module.
 """
 
 from __future__ import annotations
@@ -32,8 +34,12 @@ BLOCK_CHUNK = 32
 
 #: Fewest blocks one thread takes in :func:`block_features`; smaller parts
 #: cost more to hand off than they save, so images with fewer than twice
-#: this many blocks run on the calling thread.
-MIN_SPLIT_BLOCKS = 16
+#: this many blocks run on the calling thread. Measured on 64² images at
+#: the default 8x4 bank on a 2-vCPU VM, OpenBLAS at one thread: two parts
+#: of 3 blocks lost to one part (2.0 against 1.9 ms), two of 4 won (2.1
+#: against 2.7 ms), and 9-, 16- and 25-block stacks went from 3.8 to 2.5,
+#: 5.1 to 3.4 and 6.7 to 4.2 ms split (medians of 300 each).
+MIN_SPLIT_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -206,6 +212,5 @@ def image_feature(
 ) -> np.ndarray:
     """Full extraction for one image: :func:`subbands` (sharing ``stacks``),
     then :func:`block_features`. Each split across cores in them holds
-    OpenBLAS to one thread while its helper threads run
-    (:func:`lglg.parallel.split`)."""
+    OpenBLAS to one thread while it runs (:func:`lglg.parallel.split`)."""
     return block_features(subbands(image, config, stacks), config, keypoints)

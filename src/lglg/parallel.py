@@ -6,9 +6,10 @@ across the cores of the process's CPU affinity with :func:`split`: one
 split per stage. The work is numpy FFT and LAPACK code that releases the
 interpreter lock, and each part writes its own output rows, so the result
 is bitwise that of one thread. Helper threads live for one split only:
-none is alive when a process pool forks. While a split's helper threads
-run, numpy's bundled OpenBLAS is held to one thread, so that its own
-threads do not compete with the helpers. Where that OpenBLAS cannot be
+none is alive when a process pool forks. While a split runs, in one
+part or several, numpy's bundled OpenBLAS is held to one thread, so that
+its own threads neither compete with the helpers nor stall the tiny
+LAPACK calls of a block stack. Where that OpenBLAS cannot be
 found, :data:`CORES` is 1 and extraction runs on one thread, as it does in
 process-pool workers. Process pools run at most :data:`AFFINITY` workers.
 """
@@ -77,23 +78,29 @@ def split(fn: Callable[[int, int], T], n: int, min_part: int = 1) -> list[T]:
     first range and helper threads the rest; they are joined before this
     returns, and the first range's exception, in range order, is raised.
 
-    While the helpers run, OpenBLAS is held to one thread and its worker
-    threads are ended; the previous count is restored after the join, which
-    starts the workers again. OpenBLAS threads would compete with the
-    helpers, and after a threaded call its workers spin for about 0.1 s: a
-    256² extraction right after a two-thread matrix-vector product took
-    235 ms with them and 170 ms without. The count must come back because
-    results computed outside a split (the WPCA fit) depend on it bitwise.
-    A one-range split leaves OpenBLAS alone. The hold costs about 0.2 ms
-    per split (medians over a 64² enrollment on a 2-vCPU VM: 0.07 ms to end
-    the workers, 0.11 ms to restart them), which a 64² plane split repays:
-    a 64² extraction took 16.4 ms with the split and its hold, 17.2 ms
+    OpenBLAS is held to one thread while the ranges run, and the previous
+    count is restored when they are done, also when one raises. The count
+    must come back because results computed outside a split (the WPCA fit)
+    depend on it bitwise. A one-range split only sets and restores the
+    count, which adds about 3 us and leaves OpenBLAS's worker threads
+    running: the tiny LAPACK calls of a block stack are no faster on them,
+    and in some processes they stalled. In 8 loops of 900 64² extractions
+    whose 16 blocks ran in one range at two OpenBLAS threads, 2 loops had
+    3-4 extractions above 50 ms, up to 272 ms against a median of 11 ms;
+    held at one thread, 4 loops had none (largest 30 ms; 2-vCPU VM).
+
+    A split that starts helper threads also ends OpenBLAS's workers; the
+    restore after the join starts them again. They would compete with the
+    helpers, and after a threaded call they spin for about 0.1 s: a 256²
+    extraction right after a two-thread matrix-vector product took 235 ms
+    with them and 170 ms without. That hold costs about 0.2 ms per split
+    (medians over a 64² enrollment on a 2-vCPU VM: 0.07 ms to end the
+    workers, 0.11 ms to restart them), which a 64² plane split repays: a
+    64² extraction took 16.4 ms with the split and its hold, 17.2 ms
     unsplit and 18.0 ms split without the hold. No other thread may run
     OpenBLAS while a split runs.
     """
     parts = max(1, min(CORES, n // min_part))
-    if parts == 1:
-        return [fn(0, n)]
     bounds = [n * i // parts for i in range(parts + 1)]
     results: list = [None] * parts
     errors: list[BaseException | None] = [None] * parts
@@ -110,7 +117,8 @@ def split(fn: Callable[[int, int], T], n: int, min_part: int = 1) -> list[T]:
         before = get()
         # set first: the setter starts the workers again when none are running
         set_(1)
-        stop()
+        if helpers:
+            stop()
     try:
         for t in helpers:
             t.start()

@@ -317,6 +317,12 @@ def save_model(gallery: Gallery, path: str) -> None:
             )
     model = gallery.model
     _check_model_size(len(sids), model.output_dim, "gallery has ")
+    shape = (len(sids), model.output_dim)
+    if np.shape(gallery.features) != shape:
+        raise DimensionMismatch(
+            f"gallery features have shape {np.shape(gallery.features)}, "
+            f"{len(sids)} subject ids with {model.output_dim} components need {shape}"
+        )
     parts = [
         MODEL_MAGIC,
         struct.pack("<H", MODEL_VERSION),

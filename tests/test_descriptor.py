@@ -274,7 +274,7 @@ class TestCoresBitwise:
         one = feature_bytes(monkeypatch, 1, image, cfg)
         assert feature_bytes(monkeypatch, cores, image, cfg) == one
 
-    @pytest.mark.parametrize("blocks, parts", [(16, 1), (31, 1), (32, 2), (64, 2)])
+    @pytest.mark.parametrize("blocks, parts", [(7, 1), (8, 2), (16, 2), (32, 2), (64, 2)])
     def test_stack_splits_from_two_parts_of_min_blocks(self, rng, monkeypatch, blocks, parts):
         monkeypatch.setattr(parallel, "CORES", 2)
         seen = []
@@ -355,15 +355,59 @@ class TestBlasHeldDuringSplitExtraction:
         assert get() == outside
 
     def test_extraction_that_splits_nothing_leaves_blas_alone(self, rng, blas):
+        # every block stack runs at one OpenBLAS thread, however the block
+        # list splits, and the count outside comes back
         get = parallel._OPENBLAS[0]
         outside = get()
-        image_feature(rng.uniform(0.0, 1.0, (64, 64)), RunConfig())
-        assert blas == [outside] and get() == outside
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        for block_size, parts in [(15, 2), (21, 2), (32, 1)]:  # 16, 9 and 4 blocks
+            blas.clear()
+            image_feature(image, RunConfig(block_size=block_size))
+            assert blas == [1] * parts and get() == outside
 
     def test_block_features_alone_holds_blas(self, rng, blas):
         planes = rng.uniform(0.0, 1.0, (4, 5, 5 * 64))  # 64 blocks: two parts of 32
         block_features(planes, RunConfig(block_size=5))
         assert blas == [1, 1] and parallel._OPENBLAS[0]() == 2
+
+
+@pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
+class TestBlockBytesAcrossSplitsAndBlasThreads:
+    """``block_features`` bytes do not depend on where the block list splits
+    nor on the OpenBLAS thread count, and equal the per-block public path
+    run outside any split."""
+
+    @pytest.mark.parametrize("mode, block_size, n_blocks", [
+        ("grid", 21, 9), ("grid", 15, 16), ("grid", 11, 25), ("grid", 9, 49),
+        ("keypoint", 15, 9), ("keypoint", 15, 16), ("keypoint", 11, 25), ("keypoint", 9, 49),
+    ])
+    def test_same_bytes(self, rng, monkeypatch, mode, block_size, n_blocks):
+        monkeypatch.setattr(parallel, "CORES", 2)
+        cfg = RunConfig(mode=mode, block_size=block_size)
+        planes = rng.uniform(0.0, 1.0, (32, 64, 64))  # the default 8x4 bank
+        points = None
+        if mode == "keypoint":
+            points = [(float(x), float(y)) for x, y in rng.uniform(-5.0, 69.0, (n_blocks, 2))]
+            rects = keypoint_blocks((64, 64), points, block_size)
+        else:
+            rects = partition_blocks((64, 64), block_size).rects()
+        assert len(rects) == n_blocks
+        get, set_, _ = parallel._OPENBLAS
+        before = get()
+        features = set()
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                for min_blocks in (1, 4, 8, 16, 64):
+                    monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", min_blocks)
+                    features.add(block_features(planes, cfg, points).tobytes())
+                features.add(np.concatenate([
+                    block_feature(estimate_gaussian(planes[:, t : t + block_size, l : l + block_size]))
+                    for t, l in rects
+                ]).tobytes())
+        finally:
+            set_(before)
+        assert len(features) == 1
 
 
 @pytest.fixture

@@ -89,8 +89,8 @@ class TestSplit:
 
 
 class TestOneBlasThread:
-    """A split that starts helper threads holds OpenBLAS to one thread while
-    they run."""
+    """Every split holds OpenBLAS to one thread while its parts run; one that
+    starts helper threads also ends OpenBLAS's workers."""
 
     @pytest.fixture
     def blas_calls(self, monkeypatch):
@@ -117,10 +117,13 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("n_cores", [1, 2])
     def test_nothing_changes_without_a_split(self, cores, blas_calls, n_cores):
+        # one part: held at one thread while it runs, workers left running
         cores(n_cores)
-        split(lambda lo, hi: None, 1)
-        split(lambda lo, hi: None, 4, min_part=3)
-        assert blas_calls == []
+        seen = []
+        split(lambda lo, hi: seen.append(list(blas_calls)), 1)
+        split(lambda lo, hi: seen.append(list(blas_calls)), 4, min_part=3)
+        assert seen == [["get", "set 1"], ["get", "set 1", "set 4", "get", "set 1"]]
+        assert blas_calls == ["get", "set 1", "set 4"] * 2
 
     def test_split_without_openblas_runs_its_parts(self, cores, monkeypatch):
         cores(2)
@@ -131,12 +134,16 @@ class TestOneBlasThread:
         cores(2)
 
         def fn(lo, hi):
-            if lo > 0:
+            if lo > 0 or hi == 1:
                 raise RuntimeError
 
         with pytest.raises(RuntimeError):
             split(fn, 4)
         assert blas_calls == ["get", "set 1", "stop", "set 4"]
+        blas_calls.clear()
+        with pytest.raises(RuntimeError):
+            split(fn, 1)  # one part, on the calling thread
+        assert blas_calls == ["get", "set 1", "set 4"]
 
     @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
     def test_real_openblas_count_restored(self, cores):
@@ -146,6 +153,8 @@ class TestOneBlasThread:
         set_(2)
         try:
             assert split(lambda lo, hi: get(), 4) == [1, 1]
+            assert get() == 2
+            assert split(lambda lo, hi: get(), 1) == [1]
             assert get() == 2
         finally:
             set_(before)

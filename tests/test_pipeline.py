@@ -518,6 +518,14 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(p) in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3)],
+                             ids=["fewer_rows", "more_rows", "wrong_width"])
+    def test_features_of_another_shape_rejected_before_writing(self, tmp_path, shape):
+        gallery = dataclasses.replace(tiny_gallery(), features=np.ones(shape))
+        with pytest.raises(DimensionMismatch, match=rf"shape \({shape[0]}, {shape[1]}\).* need \(3, 2\)"):
+            save_model(gallery, str(tmp_path / "m.bin"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_long_subject_id_rejected_before_writing(self, tmp_path):
         p = tmp_path / "m.bin"
         with pytest.raises(ModelFormatError, match="'bbbb"):
