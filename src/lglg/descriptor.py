@@ -7,11 +7,10 @@ space and half-vectorized. Configs that differ only in block settings can
 share one stack of an image through a dict that the caller passes to
 :func:`subbands` for that image.
 
-:func:`block_features` splits an image's block list across cores once,
-and OpenBLAS runs one thread while that split runs, whether it makes one
-part or several: the per-block LAPACK calls are too small for OpenBLAS's
-own threads. The helper threads call only the private kernels, never a
-public function of this module.
+:func:`block_features` splits an image's block list across cores once;
+OpenBLAS runs one thread throughout (:mod:`lglg.parallel`). The helper
+threads call only the private kernels, never a public function of this
+module.
 """
 
 from __future__ import annotations
@@ -211,6 +210,6 @@ def image_feature(
     stacks: dict | None = None,
 ) -> np.ndarray:
     """Full extraction for one image: :func:`subbands` (sharing ``stacks``),
-    then :func:`block_features`. Each split across cores in them holds
-    OpenBLAS to one thread while it runs (:func:`lglg.parallel.split`)."""
+    then :func:`block_features`, each split across cores
+    (:func:`lglg.parallel.split`)."""
     return block_features(subbands(image, config, stacks), config, keypoints)

@@ -1,6 +1,10 @@
+import ctypes
+import glob
+
 import numpy as np
 import pytest
 
+from lglg import parallel
 from lglg.config import RunConfig
 from lglg.synthetic import write_benchmark
 
@@ -41,3 +45,18 @@ def benchmark_gallery(benchmark_dataset, default_config):
     gallery_manifest, _ = benchmark_dataset
     records = pipeline.load_manifest(gallery_manifest)
     return pipeline.enroll(records, default_config)
+
+
+@pytest.fixture
+def blas_threads():
+    """The thread-count getter of numpy's bundled OpenBLAS, looked up here
+    and not through lglg, which keeps the setter only; skips the test where
+    the library or the symbol is not found."""
+    for lib in glob.glob(parallel._OPENBLAS_GLOB):
+        try:
+            get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get
+    pytest.skip("numpy has no bundled OpenBLAS")

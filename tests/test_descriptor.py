@@ -320,55 +320,45 @@ class TestWrappedNamesOnCallingThread:
         assert len(idents) >= 5 and set(idents) == {threading.get_ident()}
 
 
-@pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
 class TestBlasHeldDuringSplitExtraction:
+    """Every block stack runs at the one OpenBLAS thread that importing lglg
+    sets, however the block list splits, and extraction leaves it so."""
+
     @pytest.fixture
-    def blas(self, monkeypatch):
+    def blas(self, monkeypatch, blas_threads):
         """OpenBLAS thread count at each ``descriptor._gaussian`` call, on
-        whichever thread runs the blocks; OpenBLAS runs 2 threads with live
-        workers before each test."""
+        whichever thread runs the blocks."""
         monkeypatch.setattr(parallel, "CORES", 2)
-        get, set_, _ = parallel._OPENBLAS
-        before = get()
         seen = []
         gaussian = descriptor._gaussian
 
         def recording(*args):
-            seen.append(get())
+            seen.append(blas_threads())
             return gaussian(*args)
 
         monkeypatch.setattr(descriptor, "_gaussian", recording)
-        set_(2)
-        a = np.ones((400, 400))
-        a @ a
+        assert blas_threads() == 1
         yield seen
-        set_(before)
+        assert blas_threads() == 1
 
-    def test_split_holds_blas_and_restores(self, rng, blas, split_everything):
-        get = parallel._OPENBLAS[0]
-        outside = get()
+    def test_split_extraction_runs_one_blas_thread(self, rng, blas, split_everything):
         image = rng.uniform(0.0, 1.0, (64, 64))
         image_feature(image, RunConfig())
-        assert blas == [1, 1] and get() == outside  # two parts of 8 blocks
+        assert blas == [1, 1]  # two parts of 8 blocks
         with pytest.raises(KeypointError):
             image_feature(image, RunConfig(mode="keypoint"))
-        assert get() == outside
 
-    def test_extraction_that_splits_nothing_leaves_blas_alone(self, rng, blas):
-        # every block stack runs at one OpenBLAS thread, however the block
-        # list splits, and the count outside comes back
-        get = parallel._OPENBLAS[0]
-        outside = get()
+    def test_one_blas_thread_however_blocks_split(self, rng, blas):
         image = rng.uniform(0.0, 1.0, (64, 64))
         for block_size, parts in [(15, 2), (21, 2), (32, 1)]:  # 16, 9 and 4 blocks
             blas.clear()
             image_feature(image, RunConfig(block_size=block_size))
-            assert blas == [1] * parts and get() == outside
+            assert blas == [1] * parts
 
     def test_block_features_alone_holds_blas(self, rng, blas):
         planes = rng.uniform(0.0, 1.0, (4, 5, 5 * 64))  # 64 blocks: two parts of 32
         block_features(planes, RunConfig(block_size=5))
-        assert blas == [1, 1] and parallel._OPENBLAS[0]() == 2
+        assert blas == [1, 1]
 
 
 @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
@@ -392,8 +382,7 @@ class TestBlockBytesAcrossSplitsAndBlasThreads:
         else:
             rects = partition_blocks((64, 64), block_size).rects()
         assert len(rects) == n_blocks
-        get, set_, _ = parallel._OPENBLAS
-        before = get()
+        set_ = parallel._OPENBLAS
         features = set()
         try:
             for threads in (1, 2):
@@ -406,7 +395,7 @@ class TestBlockBytesAcrossSplitsAndBlasThreads:
                     for t, l in rects
                 ]).tobytes())
         finally:
-            set_(before)
+            set_(1)
         assert len(features) == 1
 
 

@@ -89,72 +89,51 @@ class TestSplit:
 
 
 class TestOneBlasThread:
-    """Every split holds OpenBLAS to one thread while its parts run; one that
-    starts helper threads also ends OpenBLAS's workers."""
+    """Importing lglg sets OpenBLAS to one thread for the whole process, and
+    no split changes the count."""
 
-    @pytest.fixture
-    def blas_calls(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(parallel, "_OPENBLAS", (
-            lambda: calls.append("get") or 4,
-            lambda n: calls.append(f"set {n}"),
-            lambda: calls.append("stop"),
-        ))
-        return calls
-
-    def test_each_split_holds_until_its_helpers_are_joined(self, cores, blas_calls):
-        cores(2)
-        seen = []
-
-        def fn(lo, hi):
-            seen.append(list(blas_calls))
-
-        split(fn, 4)
-        assert seen == [["get", "set 1", "stop"]] * 2
-        assert blas_calls == ["get", "set 1", "stop", "set 4"]
-        split(fn, 4)
-        assert blas_calls == ["get", "set 1", "stop", "set 4"] * 2
+    @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
+    def test_import_sets_one_thread_in_a_fresh_interpreter(self):
+        # the child finds the getter itself: lglg keeps only the setter
+        code = (
+            "import ctypes, glob\n"
+            f"get = ctypes.CDLL(glob.glob({parallel._OPENBLAS_GLOB!r})[0]).scipy_openblas_get_num_threads64_\n"
+            "before = get()\n"
+            "import lglg.cli\n"
+            "print(before, get())\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "4",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(parallel.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        before, after = map(int, out.stdout.split())
+        if parallel.AFFINITY > 1:
+            # OpenBLAS caps the variable at the CPU count, so with one CPU it
+            # starts at one thread anyway
+            assert before > 1
+        assert after == 1
 
     @pytest.mark.parametrize("n_cores", [1, 2])
-    def test_nothing_changes_without_a_split(self, cores, blas_calls, n_cores):
-        # one part: held at one thread while it runs, workers left running
+    def test_split_makes_no_openblas_call(self, cores, blas_threads, n_cores):
+        # a caller raised the count after importing lglg: every part, raising
+        # or not, runs at that count, and it stays after the split
         cores(n_cores)
-        seen = []
-        split(lambda lo, hi: seen.append(list(blas_calls)), 1)
-        split(lambda lo, hi: seen.append(list(blas_calls)), 4, min_part=3)
-        assert seen == [["get", "set 1"], ["get", "set 1", "set 4", "get", "set 1"]]
-        assert blas_calls == ["get", "set 1", "set 4"] * 2
+        set_ = parallel._OPENBLAS
+        set_(2)
+        try:
+            assert split(lambda lo, hi: blas_threads(), 4) == [2] * n_cores
+            assert blas_threads() == 2
+
+            def fn(lo, hi):
+                if lo == 0:
+                    raise RuntimeError(blas_threads())
+
+            with pytest.raises(RuntimeError, match="^2$"):
+                split(fn, 4)
+            assert blas_threads() == 2
+        finally:
+            set_(1)
 
     def test_split_without_openblas_runs_its_parts(self, cores, monkeypatch):
         cores(2)
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
         assert split(lambda lo, hi: (lo, hi), 4) == [(0, 2), (2, 4)]
-
-    def test_restored_when_a_part_raises(self, cores, blas_calls):
-        cores(2)
-
-        def fn(lo, hi):
-            if lo > 0 or hi == 1:
-                raise RuntimeError
-
-        with pytest.raises(RuntimeError):
-            split(fn, 4)
-        assert blas_calls == ["get", "set 1", "stop", "set 4"]
-        blas_calls.clear()
-        with pytest.raises(RuntimeError):
-            split(fn, 1)  # one part, on the calling thread
-        assert blas_calls == ["get", "set 1", "set 4"]
-
-    @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
-    def test_real_openblas_count_restored(self, cores):
-        cores(2)
-        get, set_, _ = parallel._OPENBLAS
-        before = get()
-        set_(2)
-        try:
-            assert split(lambda lo, hi: get(), 4) == [1, 1]
-            assert get() == 2
-            assert split(lambda lo, hi: get(), 1) == [1]
-            assert get() == 2
-        finally:
-            set_(before)

@@ -1,6 +1,9 @@
 import dataclasses
+import os
 import pickle
 import struct
+import subprocess
+import sys
 import threading
 import zlib
 
@@ -33,6 +36,7 @@ from lglg.pipeline import (
     rank_accuracy,
     save_model,
 )
+from lglg.synthetic import write_benchmark
 from lglg.wpca import ProjectionModel
 
 
@@ -168,22 +172,16 @@ class TestPool:
         err = pickle.loads(pickle.dumps(ExtractionError("a.pgm", ManifestError("bad"))))
         assert (str(err), err.path, str(err.cause)) == ("a.pgm: bad", "a.pgm", "bad")
 
-    @pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
-    def test_initializer_sets_one_blas_thread(self, monkeypatch):
-        monkeypatch.setattr(parallel, "CORES", parallel.CORES)
-        get, set_, _ = parallel._OPENBLAS
-        before = get()
-        try:
-            parallel.pool_initializer()
-            assert get() == 1
-            assert parallel.CORES == 1
-        finally:
-            set_(before)
+    def test_initializer_sets_one_core(self, monkeypatch, blas_threads):
+        # and leaves OpenBLAS at the one thread the forked worker inherits
+        monkeypatch.setattr(parallel, "CORES", 2)
+        parallel.pool_initializer()
+        assert parallel.CORES == 1
+        assert blas_threads() == 1
 
     @pytest.mark.parametrize("failure", ["no library", "not a library", "no symbol"])
     def test_initializer_is_a_no_op_when_lookup_fails(self, tmp_path, monkeypatch, failure):
-        # the lookup finds nothing, and then neither the initializer nor a
-        # split touches a BLAS, and one split runs one thread
+        # the lookup finds nothing, and then one split runs one thread
         fake = tmp_path / "libscipy_openblas64_fake.so"
         if failure == "not a library":
             fake.write_bytes(b"not ELF")
@@ -278,6 +276,31 @@ class TestEnroll:
         feats = np.ones((rows, 4))
         with pytest.raises(DimensionMismatch, match=f"{rows} feature rows given for 10 gallery records"):
             pipeline.enroll(records, default_config, features=feats)
+
+
+class TestModelAcrossBlasThreads:
+    def test_same_bytes_at_one_and_two_threads_and_one_cpu(self, tmp_path):
+        # importing lglg sets OpenBLAS to one thread, so the WPCA fit's bits
+        # depend neither on OPENBLAS_NUM_THREADS nor on the CPU affinity.
+        # 53 images is the smallest synthetic gallery (seed 3, no probes)
+        # whose model bytes differed at one and two OpenBLAS threads before
+        gallery, _ = write_benchmark(tmp_path, n_classes=53, probes_per_class=0, seed=3)
+        (tmp_path / "run.cfg").write_text("")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pipeline.__file__))
+        pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        runs = {"threads1": ({"OPENBLAS_NUM_THREADS": "1"}, ""),
+                "threads2": ({"OPENBLAS_NUM_THREADS": "2"}, ""),
+                "one_cpu": ({}, pin)}
+        models = {}
+        for name, (extra, prelude) in runs.items():
+            out = tmp_path / f"{name}.bin"
+            code = prelude + "import sys; from lglg.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run([sys.executable, "-c", code, "enroll", "--config", str(tmp_path / "run.cfg"),
+                            "--manifest", gallery, "--out", str(out)],
+                           env={**env, **extra}, capture_output=True, check=True)
+            models[name] = out.read_bytes()
+        assert models["threads1"] == models["threads2"] == models["one_cpu"]
 
 
 class TestIdentify:
