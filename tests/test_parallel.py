@@ -112,28 +112,72 @@ class TestOneBlasThread:
             assert before > 1
         assert after == 1
 
+    @pytest.fixture
+    def blas_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(parallel, "_OPENBLAS", lambda n: calls.append(f"set {n}"))
+        return calls
+
+    def test_each_split_holds_until_its_helpers_are_joined(self, cores, blas_calls):
+        # the count holds through each split, which sets none, and no helper
+        # outlives the split that started it
+        cores(2)
+        threads = threading.active_count()
+        seen = []
+
+        def fn(lo, hi):
+            seen.append((lo, list(blas_calls)))
+
+        split(fn, 4)
+        split(fn, 4)
+        assert sorted(seen) == [(0, []), (0, []), (2, []), (2, [])]
+        assert blas_calls == []
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("n_cores", [1, 2])
-    def test_split_makes_no_openblas_call(self, cores, blas_threads, n_cores):
-        # a caller raised the count after importing lglg: every part, raising
-        # or not, runs at that count, and it stays after the split
+    def test_nothing_changes_without_a_split(self, cores, blas_calls, n_cores):
+        # one part runs on the calling thread and makes no OpenBLAS call
         cores(n_cores)
-        set_ = parallel._OPENBLAS
-        set_(2)
-        try:
-            assert split(lambda lo, hi: blas_threads(), 4) == [2] * n_cores
-            assert blas_threads() == 2
-
-            def fn(lo, hi):
-                if lo == 0:
-                    raise RuntimeError(blas_threads())
-
-            with pytest.raises(RuntimeError, match="^2$"):
-                split(fn, 4)
-            assert blas_threads() == 2
-        finally:
-            set_(1)
+        seen = []
+        split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 1)
+        split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 4, min_part=3)
+        assert seen == [(0, 1, threading.get_ident()), (0, 4, threading.get_ident())]
+        assert blas_calls == []
 
     def test_split_without_openblas_runs_its_parts(self, cores, monkeypatch):
         cores(2)
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
         assert split(lambda lo, hi: (lo, hi), 4) == [(0, 2), (2, 4)]
+
+    def test_restored_when_a_part_raises(self, cores, blas_threads):
+        # a caller raised the count after importing lglg: a raising part runs
+        # at that count, and it stays after the split, of one part or more
+        cores(2)
+        set_ = parallel._OPENBLAS
+        set_(2)
+        try:
+            def fn(lo, hi):
+                if lo > 0 or hi == 1:
+                    raise RuntimeError(blas_threads())
+
+            with pytest.raises(RuntimeError, match="^2$"):
+                split(fn, 4)
+            assert blas_threads() == 2
+            with pytest.raises(RuntimeError, match="^2$"):
+                split(fn, 1)  # one part, on the calling thread
+            assert blas_threads() == 2
+        finally:
+            set_(1)
+
+    def test_real_openblas_count_restored(self, cores, blas_threads):
+        # split leaves the real count as the caller set it, in every part
+        cores(2)
+        set_ = parallel._OPENBLAS
+        set_(2)
+        try:
+            assert split(lambda lo, hi: blas_threads(), 4) == [2, 2]
+            assert blas_threads() == 2
+            assert split(lambda lo, hi: blas_threads(), 1) == [2]
+            assert blas_threads() == 2
+        finally:
+            set_(1)
