@@ -17,8 +17,8 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
+def _check_jobs(jobs: int | None) -> None:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
 
 
@@ -60,10 +60,13 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     gallery = pipeline.load_model(args.model)
     _check_keypoints_dir([gallery.config], args.keypoints_dir)
     records = load_manifest(args.manifest)
-    rows = pipeline.evaluate(gallery, records, gallery.config, keypoints_dir=args.keypoints_dir)
+    rows = pipeline.evaluate(
+        gallery, records, gallery.config, keypoints_dir=args.keypoints_dir, jobs=args.jobs
+    )
     lines = ["subset,n_probes,rank1,rank5"]
     for subset, n, rank1, rank5 in rows:
         lines.append(f"{subset},{n},{rank1:.4f},{rank5:.4f}")
@@ -100,6 +103,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes that extract images (default: one per core of the "
+                        "CPU affinity; 1 extracts in this process)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lglg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--keypoints-dir")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("identify", help="rank gallery subjects for one probe image")
@@ -125,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="probe manifest")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--keypoints-dir")
+    _add_jobs(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="Cartesian parameter grid, one CSV row each")
@@ -134,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-manifest", required=True)
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--keypoints-dir")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -6,6 +6,7 @@ import contextlib
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -96,34 +97,47 @@ def _extract_all(
 
 
 def _extract_many(
-    paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int
-) -> list[list[np.ndarray]]:
-    """:func:`_extract_all` of each path, ``jobs`` paths at a time, at most
-    one per core of the process's CPU affinity. Each pool worker runs one
-    thread; in process, each image uses every core."""
-    jobs = min(jobs, len(paths), parallel.AFFINITY)
+    paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int | None
+) -> Iterator[list[np.ndarray]]:
+    """:func:`_extract_all` of each path, yielded in path order.
+
+    ``jobs`` one-thread worker processes extract them, at most one per core
+    of the process's CPU affinity; ``None`` means one per core. At one job,
+    or with one core in the affinity, the images are extracted here, each
+    on every core."""
+    jobs = min(parallel.AFFINITY if jobs is None else jobs, len(paths), parallel.AFFINITY)
     if jobs <= 1:
-        return [_extract_all(p, configs, keypoints_dir) for p in paths]
+        for path in paths:
+            yield _extract_all(path, configs, keypoints_dir)
+        return
     # here, not at the top: the executor loads multiprocessing, which costs
     # about 15 ms of a cold start that runs no pool
     from concurrent.futures import ProcessPoolExecutor
 
+    # the map cancels the images not yet started when its consumer stops early
     with ProcessPoolExecutor(max_workers=jobs, initializer=parallel.pool_initializer) as pool:
-        return list(pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir)))
+        yield from pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir))
 
 
-def _pop_column(paths: list[str], extracted: list[list[np.ndarray]]) -> np.ndarray:
-    """Stack the first remaining feature of each image, one row per path, and
-    drop those features from ``extracted`` so that they are freed once
-    stacked. Every image must give the first one's feature length."""
-    column = [features.pop(0) for features in extracted]
-    for path, feature in zip(paths, column):
-        if feature.size != column[0].size:
-            raise DimensionMismatch(
-                f"{path}: feature length {feature.size}, {paths[0]}'s is {column[0].size} "
-                "(gallery images differ in size?)"
-            )
-    return np.vstack(column)
+def _feature_matrices(
+    paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int | None
+) -> list[np.ndarray]:
+    """One matrix per config, row i the feature of ``paths[i]``: each
+    feature is copied into its row as it arrives from :func:`_extract_many`.
+    Every image must give the first one's feature length."""
+    matrices: list[np.ndarray] = []
+    with contextlib.closing(_extract_many(paths, configs, keypoints_dir, jobs)) as extracted:
+        for i, features in enumerate(extracted):
+            if i == 0:
+                matrices = [np.empty((len(paths), f.size), dtype=f.dtype) for f in features]
+            for matrix, feature in zip(matrices, features):
+                if feature.size != matrix.shape[1]:
+                    raise DimensionMismatch(
+                        f"{paths[i]}: feature length {feature.size}, {paths[0]}'s is "
+                        f"{matrix.shape[1]} (gallery images differ in size?)"
+                    )
+                matrix[i] = feature
+    return matrices
 
 
 def _check_gallery_size(records: list[ManifestRecord]) -> None:
@@ -144,17 +158,18 @@ def enroll(
     records: list[ManifestRecord],
     config: RunConfig,
     keypoints_dir: str | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
     features: np.ndarray | None = None,
 ) -> Gallery:
     """Fit WPCA on the gallery's features and standardize them.
 
     ``features`` holds one row per record, already extracted under
-    ``config``; without it the images are extracted here, ``jobs`` at a time."""
+    ``config``; without it the images are extracted here, in ``jobs``
+    worker processes (``None``: one per core of the CPU affinity, 1: in
+    this process). The model's bytes do not depend on ``jobs``."""
     _check_gallery_size(records)
     if features is None:
-        paths = [r.path for r in records]
-        features = _pop_column(paths, _extract_many(paths, [config], keypoints_dir, jobs))
+        [features] = _feature_matrices([r.path for r in records], [config], keypoints_dir, jobs)
     elif features.shape[0] != len(records):
         raise DimensionMismatch(
             f"{features.shape[0]} feature rows given for {len(records)} gallery records"
@@ -174,13 +189,12 @@ def enroll(
     )
 
 
-def rank(
-    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str | None = None
-) -> MatchResult:
-    """Rank all gallery entries by Euclidean distance to ``feature``, the
-    probe's feature extracted under the gallery's config.
-
-    Ties are broken by gallery insertion order (stable sort)."""
+def _distance_order(
+    gallery: Gallery, feature: np.ndarray, probe_path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean distance from ``feature``, the probe's feature extracted
+    under the gallery's config, to each gallery entry, and the entries'
+    stable ascending order by it (ties in gallery insertion order)."""
     if feature.size != gallery.model.input_dim:
         raise DimensionMismatch(
             f"{probe_path}: feature length {feature.size}, the gallery's is "
@@ -195,9 +209,29 @@ def rank(
             raise NonFinite(
                 f"{probe_path}: matching overflows ({exc}); the model holds extreme values"
             ) from exc
-    order = np.argsort(dists, kind="stable")
-    ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
-    return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
+    return dists, np.argsort(dists, kind="stable")
+
+
+def _correct_rank(
+    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str
+) -> int | None:
+    """The ``correct_rank`` of :func:`identify`'s result, without building its
+    ranking: the place of ``true_subject``'s first entry in the stable
+    distance order, or None when the gallery does not hold the subject."""
+    _, order = _distance_order(gallery, feature, probe_path)
+    ids = gallery.subject_ids
+    return next((place for place, i in enumerate(order, start=1) if ids[i] == true_subject), None)
+
+
+def _hit_rate(ranks: list[int | None], r: int) -> float:
+    """Fraction of ``ranks`` at most ``r``; None, a subject the gallery does
+    not hold, is never a hit."""
+    return sum(rank is not None and rank <= r for rank in ranks) / len(ranks)
+
+
+def _check_config(gallery: Gallery, config: RunConfig) -> None:
+    if config.feature_fingerprint() != gallery.fingerprint:
+        raise ConfigMismatch("probe config differs from the gallery's feature config")
 
 
 def identify(
@@ -207,25 +241,25 @@ def identify(
     keypoints_dir: str | None = None,
     true_subject: str | None = None,
 ) -> MatchResult:
-    """Extract the probe's feature and :func:`rank` the gallery against it."""
-    if config.feature_fingerprint() != gallery.fingerprint:
-        raise ConfigMismatch("probe config differs from the gallery's feature config")
+    """Extract the probe's feature and rank all gallery entries by Euclidean
+    distance to it.
+
+    Ties are broken by gallery insertion order (stable sort)."""
+    _check_config(gallery, config)
     feature = extract_feature(probe_path, config, keypoints_dir)
-    return rank(gallery, feature, probe_path, true_subject)
+    dists, order = _distance_order(gallery, feature, probe_path)
+    ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
+    return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
 
 
 def rank_accuracy(results: list[MatchResult], r: int) -> float:
     """Fraction of probes whose correct subject appears at rank <= r."""
     if not results:
         raise NoResults("no match results to score")
-    hits = 0
     for res in results:
         if res.true_subject is None:
             raise MissingGroundTruth(f"{res.probe}: no ground-truth subject")
-        rank = res.correct_rank
-        if rank is not None and rank <= r:
-            hits += 1
-    return hits / len(results)
+    return _hit_rate([res.correct_rank for res in results], r)
 
 
 def evaluate(
@@ -233,18 +267,26 @@ def evaluate(
     records: list[ManifestRecord],
     config: RunConfig,
     keypoints_dir: str | None = None,
+    jobs: int | None = None,
 ) -> list[tuple[str, int, float, float]]:
     """Per-subset (subset, n_probes, rank1, rank5) rows, subsets in first-
-    appearance order."""
+    appearance order.
+
+    The probes are extracted as :func:`enroll` extracts the gallery, in
+    ``jobs`` worker processes, and each is ranked as its feature arrives,
+    in probe order. The rows do not depend on ``jobs``."""
     if not records:
         raise ManifestError("evaluate needs at least one probe record")
-    by_subset: dict[str, list[MatchResult]] = {}
-    for rec in records:
-        res = identify(gallery, rec.path, config, keypoints_dir, true_subject=rec.subject_id)
-        by_subset.setdefault(rec.subset, []).append(res)
+    _check_config(gallery, config)
+    ranks: dict[str, list[int | None]] = {}
+    paths = [r.path for r in records]
+    with contextlib.closing(_extract_many(paths, [config], keypoints_dir, jobs)) as extracted:
+        for rec, [feature] in zip(records, extracted):
+            correct = _correct_rank(gallery, feature, rec.path, rec.subject_id)
+            ranks.setdefault(rec.subset, []).append(correct)
     return [
-        (subset, len(results), rank_accuracy(results, 1), rank_accuracy(results, 5))
-        for subset, results in by_subset.items()
+        (subset, len(subset_ranks), _hit_rate(subset_ranks, 1), _hit_rate(subset_ranks, 5))
+        for subset, subset_ranks in ranks.items()
     ]
 
 
@@ -253,7 +295,7 @@ def sweep(
     probe_records: list[ManifestRecord],
     configs: list[RunConfig],
     keypoints_dir: str | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> list[float]:
     """Rank-1 accuracy of each config, in order: enroll the gallery under it
     and identify every probe.
@@ -262,9 +304,9 @@ def sweep(
     each image is preprocessed and decomposed once per group. Within it,
     configs with the same feature fingerprint (they differ only in
     ``k_requested``) share one feature of each image. The gallery is
-    extracted ``jobs`` images at a time and fitted once per row; then each
-    probe is extracted in process and ranked against every gallery of the
-    group."""
+    extracted as in :func:`enroll`, in ``jobs`` worker processes, and
+    fitted once per row; then each probe is extracted in this process and
+    ranked against every gallery of the group."""
     _check_gallery_size(gallery_records)
     if not probe_records:
         raise ManifestError("sweep needs at least one probe record")
@@ -278,21 +320,21 @@ def sweep(
     for group in groups.values():
         row_sets = list(group.values())
         feature_configs = [configs[rows[0]] for rows in row_sets]
-        extracted = _extract_many(gallery_paths, feature_configs, keypoints_dir, jobs)
-        galleries: dict[int, Gallery] = {}
-        for rows in row_sets:
-            feats = _pop_column(gallery_paths, extracted)
-            for i in rows:
-                galleries[i] = enroll(gallery_records, configs[i], keypoints_dir, features=feats)
-        del feats  # the probe loop needs only the fitted galleries
-        results: dict[int, list[MatchResult]] = {i: [] for i in galleries}
+        matrices = _feature_matrices(gallery_paths, feature_configs, keypoints_dir, jobs)
+        galleries = {
+            i: enroll(gallery_records, configs[i], keypoints_dir, features=feats)
+            for rows, feats in zip(row_sets, matrices)
+            for i in rows
+        }
+        del matrices  # the probe loop needs only the fitted galleries
+        ranks: dict[int, list[int | None]] = {i: [] for i in galleries}
         for rec in probe_records:
             features = _extract_all(rec.path, feature_configs, keypoints_dir)
             for feature, rows in zip(features, row_sets):
                 for i in rows:
-                    results[i].append(rank(galleries[i], feature, rec.path, rec.subject_id))
-        for i, row_results in results.items():
-            accuracies[i] = rank_accuracy(row_results, 1)
+                    ranks[i].append(_correct_rank(galleries[i], feature, rec.path, rec.subject_id))
+        for i, row_ranks in ranks.items():
+            accuracies[i] = _hit_rate(row_ranks, 1)
     return accuracies
 
 

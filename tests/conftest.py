@@ -48,6 +48,17 @@ def benchmark_gallery(benchmark_dataset, default_config):
 
 
 @pytest.fixture
+def no_image_read(monkeypatch):
+    """Fails the test if lglg reads an image in this process."""
+    from lglg import pipeline
+
+    def fail(path):
+        raise AssertionError(f"{path} read before an error was reported")
+
+    monkeypatch.setattr(pipeline, "read_pgm", fail)
+
+
+@pytest.fixture
 def blas_threads():
     """The thread-count getter of numpy's bundled OpenBLAS, looked up here
     and not through lglg, which keeps the setter only; skips the test where

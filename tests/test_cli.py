@@ -311,13 +311,6 @@ class TestUsageErrors:
     """Usage errors exit 2 with one stderr line, before any image is read."""
 
     @pytest.fixture
-    def no_image_read(self, monkeypatch):
-        def fail(path):
-            raise AssertionError(f"{path} read before a usage error was reported")
-
-        monkeypatch.setattr(pipeline, "read_pgm", fail)
-
-    @pytest.fixture
     def keypoint_config(self, tmp_path):
         cfg = tmp_path / "kp.cfg"
         cfg.write_text(CONFIG_TEXT + "mode=keypoint\nkeypoint_count=2\n")
@@ -331,11 +324,14 @@ class TestUsageErrors:
         pipeline.save_model(dataclasses.replace(gallery, config=config), path)
         return path
 
-    def argv(self, command, dataset, config, tmp_path):
+    def argv(self, command, dataset, config, tmp_path, model=None):
         gallery_manifest, probe_manifest = dataset
         if command == "enroll":
             return ["enroll", "--config", config, "--manifest", gallery_manifest,
                     "--out", str(tmp_path / "m.bin")]
+        if command == "evaluate":
+            return ["evaluate", "--model", model, "--manifest", probe_manifest,
+                    "--out", str(tmp_path / "eval.csv")]
         grid = tmp_path / "grid.txt"
         grid.write_text("k_requested=3,4\n")
         return ["sweep", "--config", config, "--grid", str(grid),
@@ -349,12 +345,13 @@ class TestUsageErrors:
         return captured.err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["enroll", "sweep"])
-    def test_jobs_below_one_exits_2(self, small_dataset, config_file, tmp_path, capsys,
+    @pytest.mark.parametrize("command", ["enroll", "sweep", "evaluate"])
+    def test_jobs_below_one_exits_2(self, small_dataset, config_file, model_file, tmp_path, capsys,
                                     no_image_read, command, jobs):
-        argv = self.argv(command, small_dataset, config_file, tmp_path) + ["--jobs", jobs]
+        argv = self.argv(command, small_dataset, config_file, tmp_path, model_file) + ["--jobs", jobs]
         err = self.one_config_line(capsys, argv)
         assert err == f"error: config: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize("command", ["enroll", "sweep"])
     def test_keypoint_mode_without_dir_exits_2(self, small_dataset, keypoint_config, tmp_path,

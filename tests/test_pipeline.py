@@ -140,32 +140,49 @@ class TestJobsClamp:
         return RecordingExecutor.max_workers
 
     @pytest.mark.parametrize(
-        "n_paths,jobs,expected", [(3, 1000, [3]), (10, 1000, [4]), (10, 2, [2]), (10, 1, []), (1, 8, [])]
+        "n_paths,jobs,expected",
+        [(3, 1000, [3]), (10, 1000, [4]), (10, 2, [2]), (10, 1, []), (1, 8, []),
+         # the default: one worker per core of the affinity
+         (3, None, [3]), (10, None, [4]), (1, None, [])],
     )
     def test_max_workers(self, recorded, n_paths, jobs, expected):
         paths = [f"img{i}.pgm" for i in range(n_paths)]
-        assert pipeline._extract_many(paths, [RunConfig()], None, jobs) == [[p] for p in paths]
+        assert list(pipeline._extract_many(paths, [RunConfig()], None, jobs)) == [[p] for p in paths]
         assert recorded == expected
 
     def test_one_core_in_affinity_starts_no_pool(self, recorded, monkeypatch):
         monkeypatch.setattr(parallel, "AFFINITY", 1)
         paths = [f"img{i}.pgm" for i in range(3)]
-        assert pipeline._extract_many(paths, [RunConfig()], None, 8) == [[p] for p in paths]
+        for jobs in (8, None):
+            assert list(pipeline._extract_many(paths, [RunConfig()], None, jobs)) == [[p] for p in paths]
         assert recorded == []
 
 
 class TestPool:
     def test_jobs_2_saves_the_jobs_1_model(self, benchmark_dataset, default_config, tmp_path):
+        # and so does the default, one worker per core
         records = pipeline.load_manifest(benchmark_dataset[0])
         save_model(pipeline.enroll(records, default_config, jobs=1), str(tmp_path / "a.bin"))
         save_model(pipeline.enroll(records, default_config, jobs=2), str(tmp_path / "b.bin"))
+        save_model(pipeline.enroll(records, default_config), str(tmp_path / "c.bin"))
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
 
     def test_worker_error_names_the_image(self, benchmark_dataset, default_config):
         records = pipeline.load_manifest(benchmark_dataset[0])[:3]
         records.append(pipeline.ManifestRecord("nonexistent_c.pgm", "s9", "g"))
         with pytest.raises(ExtractionError, match="nonexistent_c.pgm") as exc:
             pipeline.enroll(records, default_config, jobs=2)
+        assert isinstance(exc.value.cause, OSError)
+
+    def test_worker_error_names_the_first_bad_probe(
+        self, benchmark_gallery, benchmark_dataset, default_config
+    ):
+        records = pipeline.load_manifest(benchmark_dataset[1])[:4]
+        records.insert(1, pipeline.ManifestRecord("nonexistent_p.pgm", "s9", "noisy"))
+        records.append(pipeline.ManifestRecord("nonexistent_q.pgm", "s9", "noisy"))
+        with pytest.raises(ExtractionError, match="nonexistent_p.pgm") as exc:
+            pipeline.evaluate(benchmark_gallery, records, default_config, jobs=2)
         assert isinstance(exc.value.cause, OSError)
 
     def test_extraction_error_pickles(self):
@@ -197,7 +214,7 @@ class TestPool:
 
     def test_pool_worker_runs_one_core(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_extract_all", _worker_cores)
-        assert pipeline._extract_many(["a.pgm", "b.pgm"], [RunConfig()], None, 2) == [1, 1]
+        assert list(pipeline._extract_many(["a.pgm", "b.pgm"], [RunConfig()], None, 2)) == [1, 1]
 
     def test_pool_after_threaded_identify_equals_jobs_1(
         self, benchmark_dataset, benchmark_gallery, default_config, tmp_path, monkeypatch
@@ -374,6 +391,36 @@ class TestEvaluate:
         records = pipeline.load_manifest(benchmark_dataset[1])[:2]
         rows = pipeline.evaluate(benchmark_gallery, records, default_config)
         assert [row[:2] for row in rows] == [("noisy", 2)]
+
+    def test_rows_equal_per_probe_identify(self, benchmark_gallery, benchmark_dataset, default_config):
+        # relabelled probes find their label below rank 1, some below rank
+        # 5, and one label is not in the gallery, so every case counts
+        probes = pipeline.load_manifest(benchmark_dataset[1])[::3]
+        subjects = sorted({r.subject_id for r in probes})
+        records = [
+            pipeline.ManifestRecord(r.path, subjects[i % len(subjects)] if i % 2 else r.subject_id,
+                                    "ab"[i % 3 == 0])
+            for i, r in enumerate(probes)
+        ]
+        records.append(pipeline.ManifestRecord(probes[0].path, "not_enrolled", "a"))
+        results: dict[str, list[MatchResult]] = {}
+        for rec in records:
+            res = identify(benchmark_gallery, rec.path, default_config, true_subject=rec.subject_id)
+            results.setdefault(rec.subset, []).append(res)
+        expected = [(subset, len(res), rank_accuracy(res, 1), rank_accuracy(res, 5))
+                    for subset, res in results.items()]
+        ranks = {res.correct_rank for subset_results in results.values() for res in subset_results}
+        assert {1, None} < ranks and max(ranks - {None}) > 5
+        for jobs in (1, 2, None):
+            assert pipeline.evaluate(benchmark_gallery, records, default_config, jobs=jobs) == expected
+
+    def test_other_config_refused_before_any_image_is_read(
+        self, benchmark_gallery, benchmark_dataset, no_image_read
+    ):
+        other = dataclasses.replace(RunConfig(), block_size=13)
+        records = pipeline.load_manifest(benchmark_dataset[1])
+        with pytest.raises(ConfigMismatch, match="differs from the gallery's feature config"):
+            pipeline.evaluate(benchmark_gallery, records, other)
 
 
 class TestPersistence:
