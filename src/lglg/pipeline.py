@@ -112,10 +112,16 @@ def _extract_many(
         return
     # here, not at the top: the executor loads multiprocessing, which costs
     # about 15 ms of a cold start that runs no pool
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # fork on every Python version: workers start from this process's state
+    # and never re-run the caller's script, which then needs no __main__ guard
+    fork = multiprocessing.get_context("fork")
     # the map cancels the images not yet started when its consumer stops early
-    with ProcessPoolExecutor(max_workers=jobs, initializer=parallel.pool_initializer) as pool:
+    with ProcessPoolExecutor(
+        max_workers=jobs, mp_context=fork, initializer=parallel.pool_initializer
+    ) as pool:
         yield from pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir))
 
 
@@ -189,12 +195,13 @@ def enroll(
     )
 
 
-def _distance_order(
-    gallery: Gallery, feature: np.ndarray, probe_path: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean distance from ``feature``, the probe's feature extracted
-    under the gallery's config, to each gallery entry, and the entries'
-    stable ascending order by it (ties in gallery insertion order)."""
+def rank(
+    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str | None = None
+) -> MatchResult:
+    """Rank all gallery entries by Euclidean distance to ``feature``, the
+    probe's feature extracted under the gallery's config.
+
+    Ties are broken by gallery insertion order (stable sort)."""
     if feature.size != gallery.model.input_dim:
         raise DimensionMismatch(
             f"{probe_path}: feature length {feature.size}, the gallery's is "
@@ -209,24 +216,9 @@ def _distance_order(
             raise NonFinite(
                 f"{probe_path}: matching overflows ({exc}); the model holds extreme values"
             ) from exc
-    return dists, np.argsort(dists, kind="stable")
-
-
-def _correct_rank(
-    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str
-) -> int | None:
-    """The ``correct_rank`` of :func:`identify`'s result, without building its
-    ranking: the place of ``true_subject``'s first entry in the stable
-    distance order, or None when the gallery does not hold the subject."""
-    _, order = _distance_order(gallery, feature, probe_path)
-    ids = gallery.subject_ids
-    return next((place for place, i in enumerate(order, start=1) if ids[i] == true_subject), None)
-
-
-def _hit_rate(ranks: list[int | None], r: int) -> float:
-    """Fraction of ``ranks`` at most ``r``; None, a subject the gallery does
-    not hold, is never a hit."""
-    return sum(rank is not None and rank <= r for rank in ranks) / len(ranks)
+    order = np.argsort(dists, kind="stable")
+    ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
+    return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
 
 
 def _check_config(gallery: Gallery, config: RunConfig) -> None:
@@ -241,25 +233,24 @@ def identify(
     keypoints_dir: str | None = None,
     true_subject: str | None = None,
 ) -> MatchResult:
-    """Extract the probe's feature and rank all gallery entries by Euclidean
-    distance to it.
-
-    Ties are broken by gallery insertion order (stable sort)."""
+    """Extract the probe's feature and :func:`rank` the gallery against it."""
     _check_config(gallery, config)
     feature = extract_feature(probe_path, config, keypoints_dir)
-    dists, order = _distance_order(gallery, feature, probe_path)
-    ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
-    return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
+    return rank(gallery, feature, probe_path, true_subject)
 
 
 def rank_accuracy(results: list[MatchResult], r: int) -> float:
     """Fraction of probes whose correct subject appears at rank <= r."""
     if not results:
         raise NoResults("no match results to score")
+    hits = 0
     for res in results:
         if res.true_subject is None:
             raise MissingGroundTruth(f"{res.probe}: no ground-truth subject")
-    return _hit_rate([res.correct_rank for res in results], r)
+        rank = res.correct_rank
+        if rank is not None and rank <= r:
+            hits += 1
+    return hits / len(results)
 
 
 def evaluate(
@@ -278,15 +269,15 @@ def evaluate(
     if not records:
         raise ManifestError("evaluate needs at least one probe record")
     _check_config(gallery, config)
-    ranks: dict[str, list[int | None]] = {}
+    by_subset: dict[str, list[MatchResult]] = {}
     paths = [r.path for r in records]
     with contextlib.closing(_extract_many(paths, [config], keypoints_dir, jobs)) as extracted:
         for rec, [feature] in zip(records, extracted):
-            correct = _correct_rank(gallery, feature, rec.path, rec.subject_id)
-            ranks.setdefault(rec.subset, []).append(correct)
+            res = rank(gallery, feature, rec.path, rec.subject_id)
+            by_subset.setdefault(rec.subset, []).append(res)
     return [
-        (subset, len(subset_ranks), _hit_rate(subset_ranks, 1), _hit_rate(subset_ranks, 5))
-        for subset, subset_ranks in ranks.items()
+        (subset, len(results), rank_accuracy(results, 1), rank_accuracy(results, 5))
+        for subset, results in by_subset.items()
     ]
 
 
@@ -327,14 +318,14 @@ def sweep(
             for i in rows
         }
         del matrices  # the probe loop needs only the fitted galleries
-        ranks: dict[int, list[int | None]] = {i: [] for i in galleries}
+        results: dict[int, list[MatchResult]] = {i: [] for i in galleries}
         for rec in probe_records:
             features = _extract_all(rec.path, feature_configs, keypoints_dir)
             for feature, rows in zip(features, row_sets):
                 for i in rows:
-                    ranks[i].append(_correct_rank(galleries[i], feature, rec.path, rec.subject_id))
-        for i, row_ranks in ranks.items():
-            accuracies[i] = _hit_rate(row_ranks, 1)
+                    results[i].append(rank(galleries[i], feature, rec.path, rec.subject_id))
+        for i, row_results in results.items():
+            accuracies[i] = rank_accuracy(row_results, 1)
     return accuracies
 
 

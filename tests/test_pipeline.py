@@ -112,12 +112,15 @@ class TestPgm:
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the start
+    method, runs in-process."""
 
     max_workers: list[int] = []
+    start_methods: list[str] = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None):
         RecordingExecutor.max_workers.append(max_workers)
+        RecordingExecutor.start_methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -133,6 +136,7 @@ class TestJobsClamp:
     @pytest.fixture
     def recorded(self, monkeypatch):
         RecordingExecutor.max_workers = []
+        RecordingExecutor.start_methods = []
         # _extract_many imports the executor when it starts a pool
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp, stacks=None: path)
@@ -149,6 +153,7 @@ class TestJobsClamp:
         paths = [f"img{i}.pgm" for i in range(n_paths)]
         assert list(pipeline._extract_many(paths, [RunConfig()], None, jobs)) == [[p] for p in paths]
         assert recorded == expected
+        assert RecordingExecutor.start_methods == ["fork"] * len(expected)
 
     def test_one_core_in_affinity_starts_no_pool(self, recorded, monkeypatch):
         monkeypatch.setattr(parallel, "AFFINITY", 1)
@@ -184,6 +189,23 @@ class TestPool:
         with pytest.raises(ExtractionError, match="nonexistent_p.pgm") as exc:
             pipeline.evaluate(benchmark_gallery, records, default_config, jobs=2)
         assert isinstance(exc.value.cause, OSError)
+
+    def test_pool_forks_under_a_spawn_default(self, benchmark_dataset, tmp_path):
+        # a script without a __main__ guard would run again in each spawned
+        # worker and stop the pool; forked workers do not run it
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from lglg import pipeline\n"
+            "from lglg.config import RunConfig\n"
+            f"records = pipeline.load_manifest({benchmark_dataset[0]!r})[:4]\n"
+            "pipeline.enroll(records, RunConfig(), jobs=2)\n"
+            "print('enrolled')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pipeline.__file__))}
+        out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "enrolled\n"), out.stderr
 
     def test_extraction_error_pickles(self):
         err = pickle.loads(pickle.dumps(ExtractionError("a.pgm", ManifestError("bad"))))
