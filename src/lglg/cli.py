@@ -11,15 +11,11 @@ from . import pipeline
 from .config import MODE_KEYPOINT, RunConfig
 from .errors import ConfigError, LglgError
 from .formats import load_config, load_manifest, parse_grid_file
+from .parallel import check_jobs
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
-
-
-def _check_jobs(jobs: int | None) -> None:
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
 
 
 def _check_keypoints_dir(configs: list[RunConfig], keypoints_dir: str | None) -> None:
@@ -29,7 +25,7 @@ def _check_keypoints_dir(configs: list[RunConfig], keypoints_dir: str | None) ->
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
+    check_jobs(args.jobs)
     config = load_config(args.config)
     _check_keypoints_dir([config], args.keypoints_dir)
     records = load_manifest(args.manifest)
@@ -60,7 +56,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
+    check_jobs(args.jobs)
     gallery = pipeline.load_model(args.model)
     _check_keypoints_dir([gallery.config], args.keypoints_dir)
     records = load_manifest(args.manifest)
@@ -76,7 +72,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
+    check_jobs(args.jobs)
     base = load_config(args.config)
     grid = parse_grid_file(args.grid)
     keys = [k for k, _ in grid]

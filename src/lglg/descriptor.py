@@ -31,15 +31,6 @@ from .preprocess import preprocess_chain
 #: temporaries (1.8 MB at d=32, 15x15 blocks).
 BLOCK_CHUNK = 32
 
-#: Fewest blocks one thread takes in :func:`block_features`; smaller parts
-#: cost more to hand off than they save, so images with fewer than twice
-#: this many blocks run on the calling thread. Measured on 64² images at
-#: the default 8x4 bank on a 2-vCPU VM, OpenBLAS at one thread: two parts
-#: of 3 blocks lost to one part (2.0 against 1.9 ms), two of 4 won (2.1
-#: against 2.7 ms), and 9-, 16- and 25-block stacks went from 3.8 to 2.5,
-#: 5.1 to 3.4 and 6.7 to 4.2 ms split (medians of 300 each).
-MIN_SPLIT_BLOCKS = 4
-
 
 @dataclass(frozen=True)
 class BlockGrid:
@@ -172,9 +163,11 @@ def block_features(
     """Per-block Gaussian embeddings of a subband stack, concatenated in
     block order.
 
-    The block list is split across cores once (:func:`lglg.parallel.split`);
-    each thread stacks its blocks ``BLOCK_CHUNK`` at a time, estimates and
-    embeds each stack and writes its rows into the feature. The result
+    The block list is split across cores once (:func:`lglg.parallel.split`),
+    unless the planes hold fewer than ``MIN_SPLIT_PIXELS`` pixels, the gate
+    :func:`lglg.gabor.decompose` splits at too. Each thread stacks its
+    blocks ``BLOCK_CHUNK`` at a time, estimates and embeds each stack and
+    writes its rows into the feature. The result
     equals concatenating ``block_feature(estimate_gaussian(block))`` over
     the blocks, bit for bit.
     """
@@ -199,7 +192,7 @@ def block_features(
             blocks = np.stack([planes[:, top : top + bs, left : left + bs] for top, left in rects[i:j]])
             rows[i:j] = _embed(*_gaussian(blocks, config.ridge_scale))
 
-    split(fill, len(rects), MIN_SPLIT_BLOCKS)
+    split(fill, len(rects), shape[0] * shape[1])
     return rows.ravel()
 
 

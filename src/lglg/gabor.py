@@ -11,13 +11,6 @@ import numpy as np
 from .errors import ConfigError, ImageTooSmall, InvalidIndex
 from .parallel import split
 
-#: Fewest pixels per plane at which :func:`decompose` splits its planes
-#: across cores. numpy's FFT holds the interpreter lock, so two threads
-#: overlap only the rest of each kernel's work. With one inverse-FFT pair per
-#: kernel the split pays from 52x52 (13-17 % faster; 64x64 about 20 %); at
-#: 48x48 and below it ranged from 9 % faster to 10 % slower (2-vCPU VM).
-MIN_SPLIT_PIXELS = 52 * 52
-
 #: Fewest pixels per plane at which :func:`decompose` runs each kernel's
 #: real and imaginary parts through the inverse FFT one at a time rather
 #: than as one stacked pair. A pair at 160x160 needs about 3 MB of FFT
@@ -31,6 +24,14 @@ MIN_ONE_PART_PIXELS = 160 * 160
 #: bin, so these bounds hold them to 4 KB per bin (about 170 MB at 256²).
 MAX_DIRECTIONS = 16
 MAX_SCALES = 8
+
+#: Widest kernel shapes a config or model file may ask for: ``sigma`` and
+#: ``k_max`` from 1e-3 to 1e3 times pi (the defaults are 1 and 0.5 times
+#: pi) and ``spacing`` at most 16. Far outside them the bank's float
+#: arithmetic fails: ``spacing**v`` or ``sigma**2`` overflows, or
+#: ``sigma**2`` rounds to 0.
+SHAPE_RANGE_PI = (1e-3, 1e3)
+MAX_SPACING = 16.0
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,15 @@ class GaborParams:
                 f"directions must be in 1..{MAX_DIRECTIONS} and scales in 1..{MAX_SCALES}, "
                 f"got {self.directions} and {self.scales}"
             )
-        if self.sigma <= 0.0 or self.k_max <= 0.0:
-            raise ConfigError("sigma and k_max must be positive")
-        if self.spacing <= 1.0:
-            raise ConfigError("spacing factor must exceed 1")
+        lo, hi = SHAPE_RANGE_PI
+        if not all(lo * math.pi <= x <= hi * math.pi for x in (self.sigma, self.k_max)):
+            raise ConfigError(
+                f"sigma and k_max must be {lo:g} to {hi:g} times pi, "
+                f"got {self.sigma / math.pi:g} and {self.k_max / math.pi:g} times pi"
+            )
+        if not 1.0 < self.spacing <= MAX_SPACING:
+            raise ConfigError(f"spacing factor must exceed 1 and be at most {MAX_SPACING:g}, "
+                              f"got {self.spacing:g}")
         if self.window_len < 3 or self.window_len % 2 == 0:
             raise ConfigError("window_len must be odd and >= 3")
 
@@ -213,9 +219,9 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
     plane stays bitwise equal to two such convolutions.
-    Planes of at least ``MIN_SPLIT_PIXELS`` are split across cores
-    (:func:`lglg.parallel.split`); each is computed whole by one thread, so
-    the stack does not depend on the split.
+    The planes are split across cores (:func:`lglg.parallel.split`) unless
+    they hold fewer than ``MIN_SPLIT_PIXELS`` pixels; each is computed whole
+    by one thread, so the stack does not depend on the split.
     """
     image = np.asarray(image, dtype=np.float64)
     wl = bank[0].real.shape[0]
@@ -259,8 +265,5 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
                 re, im = (inverse(spectrum * part) for part in spectra[p])
             np.hypot(re, im, out=planes[p])
 
-    if h * w < MIN_SPLIT_PIXELS:
-        filter_planes(0, len(bank))
-    else:
-        split(filter_planes, len(bank))
+    split(filter_planes, len(bank), h * w)
     return planes

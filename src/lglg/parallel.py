@@ -9,13 +9,16 @@ stall the tiny LAPACK calls of a block stack. Where that OpenBLAS cannot
 be found, :data:`CORES` is 1 and extraction runs on one thread, as it does
 in process-pool workers.
 
+A batch of images goes through :func:`imap`, on ``jobs`` one-thread
+worker processes; :func:`check_jobs` is the one rule for ``jobs``.
+
 One image's extraction splits its Gabor subbands, and then its block list,
 across the cores of the process's CPU affinity with :func:`split`: one
-split per stage. The work is numpy FFT and LAPACK code that releases the
-interpreter lock, and each part writes its own output rows, so the result
-is bitwise that of one thread. Helper threads live for one split only:
-none is alive when a process pool forks. Process pools run at most
-:data:`AFFINITY` workers.
+split per stage, and none for planes under :data:`MIN_SPLIT_PIXELS`. The
+work is numpy FFT and LAPACK code that releases the interpreter lock, and
+each part writes its own output rows, so the result is bitwise that of
+one thread. Helper threads live for one split only: none is alive when a
+process pool forks.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import ctypes
 import glob
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import repeat
 from typing import TypeVar
 
 import numpy as np
+
+from .errors import ConfigError
 
 T = TypeVar("T")
 
@@ -61,21 +67,60 @@ AFFINITY = len(os.sched_getaffinity(0))
 #: cannot be set to one thread.
 CORES = AFFINITY if _OPENBLAS is not None else 1
 
+#: Fewest pixels per plane at which :func:`split` splits an image's Gabor
+#: planes or block list across cores. numpy's FFT holds the interpreter
+#: lock, so two threads overlap only the rest of each kernel's work; the
+#: plane split pays from 52x52 (13-17 % faster; 64x64 about 20 %), and at
+#: 48x48 and below it ranged from 9 % faster to 10 % slower (2-vCPU VM).
+MIN_SPLIT_PIXELS = 52 * 52
 
-def pool_initializer() -> None:
+
+def check_jobs(jobs: int | None) -> None:
+    """Raise :class:`ConfigError` unless ``jobs`` is None or at least 1."""
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+
+
+def _one_core() -> None:
     """Process-pool initializer: each of N workers extracts on one thread,
     so that N workers do not oversubscribe the cores."""
     global CORES
     CORES = 1
 
 
-def split(fn: Callable[[int, int], T], n: int, min_part: int = 1) -> list[T]:
+def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator[T]:
+    """``fn(item, *args)`` for each of ``items``, yielded in order, from
+    ``jobs`` one-thread worker processes, at most one per core of the CPU
+    affinity (``None``: one per core; below 1: :func:`check_jobs` refuses
+    it). At one job, or with one core in the affinity, they run here, each
+    free to :func:`split`. Closing the iterator early cancels the items not
+    yet started."""
+    check_jobs(jobs)
+    jobs = min(AFFINITY if jobs is None else jobs, len(items), AFFINITY)
+    if jobs <= 1:
+        for item in items:
+            yield fn(item, *args)
+        return
+    # here, not at the top: the executor loads multiprocessing, which costs
+    # about 15 ms of a cold start that runs no pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork on every Python version: workers start from this process's state
+    # and never re-run the caller's script, which then needs no __main__ guard
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=fork, initializer=_one_core) as pool:
+        yield from pool.map(fn, items, *map(repeat, args))
+
+
+def split(fn: Callable[[int, int], T], n: int, pixels: int) -> list[T]:
     """``[fn(lo, hi), ...]`` over contiguous ranges that cover ``range(n)``,
-    in order: one range per core, each of at least ``min_part`` items (one
-    range, run here, when ``n < 2 * min_part``). The calling thread runs the
-    first range and helper threads the rest; they are joined before this
-    returns, and the first range's exception, in range order, is raised."""
-    parts = max(1, min(CORES, n // min_part))
+    in order, for work on planes of ``pixels`` pixels: one range per core,
+    or one range, run here, when ``pixels < MIN_SPLIT_PIXELS``. The calling
+    thread runs the first range and helper threads the rest; they are
+    joined before this returns, and the first range's exception, in range
+    order, is raised."""
+    parts = max(1, min(CORES, n)) if pixels >= MIN_SPLIT_PIXELS else 1
     bounds = [n * i // parts for i in range(parts + 1)]
     results: list = [None] * parts
     errors: list[BaseException | None] = [None] * parts

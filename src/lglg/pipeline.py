@@ -6,9 +6,7 @@ import contextlib
 import os
 import struct
 import zlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -96,43 +94,15 @@ def _extract_all(
     return [extract_feature(path, config, keypoints_dir, stacks) for config in configs]
 
 
-def _extract_many(
-    paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int | None
-) -> Iterator[list[np.ndarray]]:
-    """:func:`_extract_all` of each path, yielded in path order.
-
-    ``jobs`` one-thread worker processes extract them, at most one per core
-    of the process's CPU affinity; ``None`` means one per core. At one job,
-    or with one core in the affinity, the images are extracted here, each
-    on every core."""
-    jobs = min(parallel.AFFINITY if jobs is None else jobs, len(paths), parallel.AFFINITY)
-    if jobs <= 1:
-        for path in paths:
-            yield _extract_all(path, configs, keypoints_dir)
-        return
-    # here, not at the top: the executor loads multiprocessing, which costs
-    # about 15 ms of a cold start that runs no pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork on every Python version: workers start from this process's state
-    # and never re-run the caller's script, which then needs no __main__ guard
-    fork = multiprocessing.get_context("fork")
-    # the map cancels the images not yet started when its consumer stops early
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=fork, initializer=parallel.pool_initializer
-    ) as pool:
-        yield from pool.map(_extract_all, paths, repeat(configs), repeat(keypoints_dir))
-
-
 def _feature_matrices(
     paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int | None
 ) -> list[np.ndarray]:
     """One matrix per config, row i the feature of ``paths[i]``: each
-    feature is copied into its row as it arrives from :func:`_extract_many`.
+    feature is copied into its row as it arrives from :func:`parallel.imap`.
     Every image must give the first one's feature length."""
     matrices: list[np.ndarray] = []
-    with contextlib.closing(_extract_many(paths, configs, keypoints_dir, jobs)) as extracted:
+    extracted = parallel.imap(_extract_all, paths, configs, keypoints_dir, jobs=jobs)
+    with contextlib.closing(extracted):
         for i, features in enumerate(extracted):
             if i == 0:
                 matrices = [np.empty((len(paths), f.size), dtype=f.dtype) for f in features]
@@ -170,9 +140,9 @@ def enroll(
     """Fit WPCA on the gallery's features and standardize them.
 
     ``features`` holds one row per record, already extracted under
-    ``config``; without it the images are extracted here, in ``jobs``
-    worker processes (``None``: one per core of the CPU affinity, 1: in
-    this process). The model's bytes do not depend on ``jobs``."""
+    ``config``; without it the images are extracted here, ``jobs`` as
+    :func:`lglg.parallel.imap` takes it. The model's bytes do not depend
+    on ``jobs``."""
     _check_gallery_size(records)
     if features is None:
         [features] = _feature_matrices([r.path for r in records], [config], keypoints_dir, jobs)
@@ -271,7 +241,8 @@ def evaluate(
     _check_config(gallery, config)
     by_subset: dict[str, list[MatchResult]] = {}
     paths = [r.path for r in records]
-    with contextlib.closing(_extract_many(paths, [config], keypoints_dir, jobs)) as extracted:
+    extracted = parallel.imap(_extract_all, paths, [config], keypoints_dir, jobs=jobs)
+    with contextlib.closing(extracted):
         for rec, [feature] in zip(records, extracted):
             res = rank(gallery, feature, rec.path, rec.subject_id)
             by_subset.setdefault(rec.subset, []).append(res)

@@ -12,6 +12,15 @@ from .errors import ConfigError, DegenerateInput, OutOfRange
 
 _ZERO_TOL = 1e-12
 
+#: Bounds a config or model file must keep (the defaults are Tan and
+#: Triggs' 1 and 2, 0.1 and 10). Below the lower ones the filters' float
+#: arithmetic overflows. Each blur runs 2*ceil(4*sigma)+1 taps per axis:
+#: at sigma 64 a 256² image's preprocessing took 74 ms against 9 ms at 2
+#: (2-vCPU VM), and at 1e12 the taps do not fit in memory.
+DOG_SIGMA_RANGE = (1e-3, 64.0)
+MIN_CONTRAST_ALPHA = 0.01
+MIN_CONTRAST_TAU = 1e-3
+
 
 @dataclass(frozen=True)
 class PreprocessParams:
@@ -24,12 +33,18 @@ class PreprocessParams:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ConfigError("gamma must be in (0, 1]")
-        if self.dog_sigma_inner <= 0.0 or self.dog_sigma_inner >= self.dog_sigma_outer:
-            raise ConfigError("require 0 < dog_sigma_inner < dog_sigma_outer")
-        if not (0.0 < self.contrast_alpha < 1.0):
-            raise ConfigError("contrast_alpha must be in (0, 1)")
-        if self.contrast_tau <= 0.0:
-            raise ConfigError("contrast_tau must be positive")
+        lo, hi = DOG_SIGMA_RANGE
+        if not lo <= self.dog_sigma_inner < self.dog_sigma_outer <= hi:
+            raise ConfigError(
+                f"require {lo:g} <= dog_sigma_inner < dog_sigma_outer <= {hi:g}, "
+                f"got {self.dog_sigma_inner:g} and {self.dog_sigma_outer:g}"
+            )
+        if not MIN_CONTRAST_ALPHA <= self.contrast_alpha < 1.0:
+            raise ConfigError(f"contrast_alpha must be in [{MIN_CONTRAST_ALPHA:g}, 1), "
+                              f"got {self.contrast_alpha:g}")
+        if not self.contrast_tau >= MIN_CONTRAST_TAU:
+            raise ConfigError(f"contrast_tau must be at least {MIN_CONTRAST_TAU:g}, "
+                              f"got {self.contrast_tau:g}")
 
 
 def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:

@@ -171,6 +171,27 @@ class TestEnroll:
         assert "directions must be in 1..16 and scales in 1..8" in err
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        # the first three crashed in the kernel bank or the DoG blur; 1e5
+        # blurred for seconds per image
+        pytest.param(line, message, id=line) for line, message in [
+            ("spacing=1e200", "spacing factor must exceed 1 and be at most 16, got 1e+200"),
+            ("sigma_pi=1e-300", "sigma and k_max must be 0.001 to 1000 times pi, got 1e-300 and 0.5"),
+            ("dog_sigma_outer=1e12", "dog_sigma_inner < dog_sigma_outer <= 64, got 1 and 1e+12"),
+            ("dog_sigma_outer=1e5", "dog_sigma_inner < dog_sigma_outer <= 64, got 1 and 100000"),
+        ]
+    ])
+    def test_value_beyond_bounds_exits_2(self, small_dataset, tmp_path, capsys, no_image_read,
+                                         line, message):
+        config = tmp_path / "far.cfg"
+        config.write_text(CONFIG_TEXT + line + "\n")
+        code = main(["enroll", "--config", str(config), "--manifest", small_dataset[0],
+                     "--out", str(tmp_path / "m.bin"), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: config:") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestIdentify:
     @pytest.mark.parametrize("field,value", [("directions", 17), ("scales", 9)])
@@ -188,6 +209,20 @@ class TestIdentify:
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
         assert "config block: directions must be in 1..16 and scales in 1..8" in err
+
+    def test_model_with_sigma_beyond_bounds_exits_3(self, small_dataset, model_file, tmp_path,
+                                                    capsys):
+        # sigma_pi, an f64, follows the u32 directions and scales
+        offset = 6 + struct.calcsize("<II")
+        body = bytearray(Path(model_file).read_bytes()[:-4])
+        body[offset:offset + 8] = struct.pack("<d", 1e-300)
+        bad = tmp_path / "narrow.bin"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        probe = small_dataset[0].replace("gallery.csv", "images/class00_probe0.pgm")
+        code = main(["identify", "--model", str(bad), "--image", probe])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
+        assert "config block: sigma and k_max must be 0.001 to 1000 times pi, got 1e-300" in err
 
     def test_stdout_ranking(self, small_dataset, model_file, capsys):
         gallery_manifest, _ = small_dataset
@@ -350,7 +385,7 @@ class TestUsageErrors:
                                     no_image_read, command, jobs):
         argv = self.argv(command, small_dataset, config_file, tmp_path, model_file) + ["--jobs", jobs]
         err = self.one_config_line(capsys, argv)
-        assert err == f"error: config: --jobs must be at least 1, got {jobs}\n"
+        assert err == f"error: config: jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize("command", ["enroll", "sweep"])

@@ -5,7 +5,10 @@ line, exits 2, 3 or 4, and raises no traceback.
 Each test fuzzes one file and keeps the others valid. Fuzzed configs and
 grids run against a one-record gallery, so the run stops before extraction
 and a fuzzed value never sizes a kernel bank; the model fuzz leaves the
-config block intact for the same reason."""
+config block intact for the same reason. Only the fuzzed float fields of
+the kernel shape, preprocessing and contrast reach extraction: with the
+bank size and ``block_size`` at their defaults, each example enrolls the
+3-record gallery in process."""
 
 import dataclasses
 import struct
@@ -19,6 +22,8 @@ from hypothesis import strategies as st
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.formats import write_pgm
+from lglg.gabor import MAX_SPACING, SHAPE_RANGE_PI
+from lglg.preprocess import DOG_SIGMA_RANGE, MIN_CONTRAST_ALPHA, MIN_CONTRAST_TAU
 from lglg.synthetic import write_benchmark
 
 CONFIG_TEXT = "block_size=8\nk_requested=4\n"
@@ -78,6 +83,33 @@ def test_enroll_config(files, capsys, data):
     path.write_bytes(data)
     fails_with_one_line(capsys, ["enroll", "--config", str(path), "--manifest", files["one"],
                                  "--out", str(files["root"] / "never.bin")])
+
+
+def float_value(lo, hi):
+    """Any float, or one of the field's accepted range and its bounds."""
+    return st.one_of(st.floats(), st.floats(lo, hi)).map(repr)
+
+
+FLOAT_FIELDS = st.fixed_dictionaries({}, optional={
+    "sigma_pi": float_value(*SHAPE_RANGE_PI),
+    "k_max_pi": float_value(*SHAPE_RANGE_PI),
+    "spacing": float_value(1.0, MAX_SPACING),
+    "gamma": float_value(0.0, 1.0),
+    "dog_sigma_inner": float_value(*DOG_SIGMA_RANGE),
+    "dog_sigma_outer": float_value(*DOG_SIGMA_RANGE),
+    "contrast_alpha": float_value(MIN_CONTRAST_ALPHA, 1.0),
+    "contrast_tau": float_value(MIN_CONTRAST_TAU, 1e3),
+})
+
+
+@settings(FUZZ, max_examples=100)  # about a quarter are valid configs
+@given(FLOAT_FIELDS)
+def test_enroll_float_fields(files, capsys, values):
+    path = files["root"] / "fuzz_floats.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+    fails_with_one_line(capsys, ["enroll", "--config", str(path), "--manifest", files["gallery"],
+                                 "--out", str(files["root"] / "floats.bin"), "--jobs", "1"],
+                        may_succeed=True)
 
 
 @FUZZ

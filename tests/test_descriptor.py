@@ -225,8 +225,7 @@ class TestSubbandsChecksFirst:
 @pytest.fixture
 def split_everything(monkeypatch):
     """Every plane loop and block list splits across cores, however small."""
-    monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", 0)
-    monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", 1)
+    monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", 0)
 
 
 def feature_bytes(monkeypatch, cores, image, cfg, points=None):
@@ -274,20 +273,22 @@ class TestCoresBitwise:
         one = feature_bytes(monkeypatch, 1, image, cfg)
         assert feature_bytes(monkeypatch, cores, image, cfg) == one
 
-    @pytest.mark.parametrize("blocks, parts", [(7, 1), (8, 2), (16, 2), (32, 2), (64, 2)])
-    def test_stack_splits_from_two_parts_of_min_blocks(self, rng, monkeypatch, blocks, parts):
+    @pytest.mark.parametrize("shape, parts", [((51, 52), 1), ((52, 52), 2)])
+    def test_both_stages_split_from_min_split_pixels(self, rng, monkeypatch, shape, parts):
+        # 9 blocks of 15x15: just below the gate neither the planes nor the
+        # blocks split, and at it both do
         monkeypatch.setattr(parallel, "CORES", 2)
         seen = []
 
-        def recording(fn, n, min_part=1):
-            out = parallel.split(fn, n, min_part)
+        def recording(fn, n, pixels):
+            out = parallel.split(fn, n, pixels)
             seen.append(len(out))
             return out
 
+        monkeypatch.setattr(gabor, "split", recording)
         monkeypatch.setattr(descriptor, "split", recording)
-        planes = rng.uniform(0.0, 1.0, (4, 5, 5 * blocks))  # one row of 5x5 blocks
-        block_features(planes, RunConfig(block_size=5))
-        assert seen == [parts]
+        image_feature(rng.uniform(0.0, 1.0, shape), RunConfig())
+        assert seen == [parts, parts]
 
 
 class TestWrappedNamesOnCallingThread:
@@ -350,7 +351,7 @@ class TestBlasHeldDuringSplitExtraction:
 
     def test_one_blas_thread_however_blocks_split(self, rng, blas):
         image = rng.uniform(0.0, 1.0, (64, 64))
-        for block_size, parts in [(15, 2), (21, 2), (32, 1)]:  # 16, 9 and 4 blocks
+        for block_size, parts in [(15, 2), (21, 2), (32, 2), (64, 1)]:  # 16, 9, 4 and 1 blocks
             blas.clear()
             image_feature(image, RunConfig(block_size=block_size))
             assert blas == [1] * parts
@@ -372,7 +373,6 @@ class TestBlockBytesAcrossSplitsAndBlasThreads:
         ("keypoint", 15, 9), ("keypoint", 15, 16), ("keypoint", 11, 25), ("keypoint", 9, 49),
     ])
     def test_same_bytes(self, rng, monkeypatch, mode, block_size, n_blocks):
-        monkeypatch.setattr(parallel, "CORES", 2)
         cfg = RunConfig(mode=mode, block_size=block_size)
         planes = rng.uniform(0.0, 1.0, (32, 64, 64))  # the default 8x4 bank
         points = None
@@ -387,8 +387,8 @@ class TestBlockBytesAcrossSplitsAndBlasThreads:
         try:
             for threads in (1, 2):
                 set_(threads)
-                for min_blocks in (1, 4, 8, 16, 64):
-                    monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", min_blocks)
+                for cores in (1, 2, 3):
+                    monkeypatch.setattr(parallel, "CORES", cores)
                     features.add(block_features(planes, cfg, points).tobytes())
                 features.add(np.concatenate([
                     block_feature(estimate_gaussian(planes[:, t : t + block_size, l : l + block_size]))

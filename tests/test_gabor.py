@@ -38,6 +38,15 @@ class TestParams:
     def test_accepts_largest_bank(self):
         assert GaborParams(directions=16, scales=8).num_subbands == 128
 
+    def test_shape_bounds_are_inclusive(self):
+        lo, hi = (x * math.pi for x in gabor.SHAPE_RANGE_PI)
+        for sigma, k_max in [(lo, hi), (hi, lo)]:
+            GaborParams(sigma=sigma, k_max=k_max, spacing=gabor.MAX_SPACING)
+        for field, value in [("sigma", lo * 0.999), ("k_max", hi * 1.001),
+                             ("spacing", gabor.MAX_SPACING * 1.001)]:
+            with pytest.raises(ConfigError):
+                GaborParams(**{field: value})
+
 
 class TestBuildKernel:
     def test_dc_free_all_kernels(self):
@@ -188,12 +197,12 @@ class TestDecomposeCores:
         # parts stacked in pairs, then one at a time, as planes from
         # MIN_ONE_PART_PIXELS run
         bank = build_bank(GaborParams(directions=5, scales=3))
-        for shape, min_split in [((128, 128), gabor.MIN_SPLIT_PIXELS),
-                                 ((64, 64), gabor.MIN_SPLIT_PIXELS), ((37, 50), 0)]:
+        for shape, min_split in [((128, 128), parallel.MIN_SPLIT_PIXELS),
+                                 ((64, 64), parallel.MIN_SPLIT_PIXELS), ((37, 50), 0)]:
             image = rng.uniform(0.0, 1.0, shape)
             reference = fftconvolve_reference(image, bank).tobytes()
             for min_one_part in (gabor.MIN_ONE_PART_PIXELS, 0):
-                monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", min_split)
+                monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", min_split)
                 monkeypatch.setattr(gabor, "MIN_ONE_PART_PIXELS", min_one_part)
                 monkeypatch.setattr(parallel, "CORES", 1)
                 one = decompose(image, bank).tobytes()
@@ -207,11 +216,13 @@ class TestDecomposeCores:
          ((64, 64), True)],
     )
     def test_splits_from_min_split_pixels(self, monkeypatch, shape, split):
+        # decompose passes its plane size to split, which gates on it
         monkeypatch.setattr(parallel, "CORES", 2)
-        calls = []
-        monkeypatch.setattr(gabor, "split", lambda fn, n: calls.append(n) or fn(0, n))
+        parts = []
+        split_ = gabor.split
+        monkeypatch.setattr(gabor, "split", lambda *args: parts.append(len(split_(*args))))
         decompose(np.zeros(shape), build_bank(GaborParams()))
-        assert calls == ([32] if split else [])
+        assert parts == ([2] if split else [1])
 
     @pytest.mark.parametrize(
         "shape, pairs",

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglg import descriptor, gabor, parallel, pipeline
+from lglg import parallel, pipeline
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.errors import (
     ChecksumMismatch,
+    ConfigError,
     ConfigMismatch,
     DegenerateTrainingSet,
     DimensionMismatch,
@@ -137,9 +138,8 @@ class TestJobsClamp:
     def recorded(self, monkeypatch):
         RecordingExecutor.max_workers = []
         RecordingExecutor.start_methods = []
-        # _extract_many imports the executor when it starts a pool
+        # parallel.imap imports the executor when it starts a pool
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(pipeline, "extract_feature", lambda path, config, kp, stacks=None: path)
         monkeypatch.setattr(parallel, "AFFINITY", 4)
         return RecordingExecutor.max_workers
 
@@ -151,7 +151,8 @@ class TestJobsClamp:
     )
     def test_max_workers(self, recorded, n_paths, jobs, expected):
         paths = [f"img{i}.pgm" for i in range(n_paths)]
-        assert list(pipeline._extract_many(paths, [RunConfig()], None, jobs)) == [[p] for p in paths]
+        extracted = parallel.imap(lambda path, suffix: path + suffix, paths, "!", jobs=jobs)
+        assert list(extracted) == [p + "!" for p in paths]
         assert recorded == expected
         assert RecordingExecutor.start_methods == ["fork"] * len(expected)
 
@@ -159,8 +160,22 @@ class TestJobsClamp:
         monkeypatch.setattr(parallel, "AFFINITY", 1)
         paths = [f"img{i}.pgm" for i in range(3)]
         for jobs in (8, None):
-            assert list(pipeline._extract_many(paths, [RunConfig()], None, jobs)) == [[p] for p in paths]
+            assert list(parallel.imap(str, paths, jobs=jobs)) == paths
         assert recorded == []
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("command", ["enroll", "evaluate", "sweep"])
+    def test_jobs_below_one_refused_before_any_image_is_read(
+        self, benchmark_dataset, benchmark_gallery, default_config, no_image_read, command, jobs
+    ):
+        gallery_records, probe_records = map(pipeline.load_manifest, benchmark_dataset)
+        with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+            if command == "enroll":
+                pipeline.enroll(gallery_records, default_config, jobs=jobs)
+            elif command == "evaluate":
+                pipeline.evaluate(benchmark_gallery, probe_records, default_config, jobs=jobs)
+            else:
+                pipeline.sweep(gallery_records, probe_records, [default_config], jobs=jobs)
 
 
 class TestPool:
@@ -214,7 +229,7 @@ class TestPool:
     def test_initializer_sets_one_core(self, monkeypatch, blas_threads):
         # and leaves OpenBLAS at the one thread the forked worker inherits
         monkeypatch.setattr(parallel, "CORES", 2)
-        parallel.pool_initializer()
+        parallel._one_core()
         assert parallel.CORES == 1
         assert blas_threads() == 1
 
@@ -231,12 +246,11 @@ class TestPool:
         assert parallel._find_openblas() is None
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
         monkeypatch.setattr(parallel, "CORES", 2)
-        assert parallel.pool_initializer() is None
-        assert parallel.split(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
+        assert parallel._one_core() is None
+        assert parallel.split(lambda lo, hi: (lo, hi), 10, parallel.MIN_SPLIT_PIXELS) == [(0, 10)]
 
-    def test_pool_worker_runs_one_core(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_extract_all", _worker_cores)
-        assert list(pipeline._extract_many(["a.pgm", "b.pgm"], [RunConfig()], None, 2)) == [1, 1]
+    def test_pool_worker_runs_one_core(self):
+        assert list(parallel.imap(_worker_cores, ["a.pgm", "b.pgm"], jobs=2)) == [1, 1]
 
     def test_pool_after_threaded_identify_equals_jobs_1(
         self, benchmark_dataset, benchmark_gallery, default_config, tmp_path, monkeypatch
@@ -244,8 +258,7 @@ class TestPool:
         # every plane loop and block list splits, so lglg threads have run
         # in this process before each pool forks
         monkeypatch.setattr(parallel, "CORES", 2)
-        monkeypatch.setattr(gabor, "MIN_SPLIT_PIXELS", 0)
-        monkeypatch.setattr(descriptor, "MIN_SPLIT_BLOCKS", 1)
+        monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", 0)
         gallery_records = pipeline.load_manifest(benchmark_dataset[0])
         probe_records = pipeline.load_manifest(benchmark_dataset[1])[:4]
         threads = threading.active_count()
@@ -260,7 +273,7 @@ class TestPool:
         assert accs[0] == accs[1]
 
 
-def _worker_cores(path, configs, keypoints_dir):
+def _worker_cores(path):
     return parallel.CORES
 
 

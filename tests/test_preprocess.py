@@ -129,3 +129,14 @@ class TestChain:
             PreprocessParams(gamma=0.0)
         with pytest.raises(ConfigError):
             PreprocessParams(contrast_alpha=1.5)
+
+    def test_bounds_are_inclusive(self):
+        lo, hi = preprocess.DOG_SIGMA_RANGE
+        PreprocessParams(dog_sigma_inner=lo, dog_sigma_outer=hi,
+                         contrast_alpha=preprocess.MIN_CONTRAST_ALPHA,
+                         contrast_tau=preprocess.MIN_CONTRAST_TAU)
+        for field, value in [("dog_sigma_inner", lo * 0.999), ("dog_sigma_outer", hi * 1.001),
+                             ("contrast_alpha", preprocess.MIN_CONTRAST_ALPHA * 0.999),
+                             ("contrast_tau", preprocess.MIN_CONTRAST_TAU * 0.999)]:
+            with pytest.raises(ConfigError):
+                PreprocessParams(**{field: value})
