@@ -290,6 +290,24 @@ class TestCoresBitwise:
         image_feature(rng.uniform(0.0, 1.0, shape), RunConfig())
         assert seen == [parts, parts]
 
+    @pytest.mark.parametrize("blocks, parts", [(7, 1), (8, 2), (16, 2), (32, 2), (64, 2)])
+    def test_stack_splits_from_two_parts_of_min_blocks(self, rng, monkeypatch, blocks, parts):
+        # the gate is the pixels of a plane one row of eight 5x5 blocks
+        # wide: the block list splits from there, however many blocks
+        monkeypatch.setattr(parallel, "CORES", 2)
+        monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", 5 * 5 * 8)
+        seen = []
+
+        def recording(fn, n, pixels):
+            out = parallel.split(fn, n, pixels)
+            seen.append(len(out))
+            return out
+
+        monkeypatch.setattr(descriptor, "split", recording)
+        planes = rng.uniform(0.0, 1.0, (4, 5, 5 * blocks))  # one row of 5x5 blocks
+        block_features(planes, RunConfig(block_size=5))
+        assert seen == [parts]
+
 
 class TestWrappedNamesOnCallingThread:
     def test_split_extraction_calls_them_from_the_calling_thread_only(
