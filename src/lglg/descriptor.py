@@ -126,13 +126,16 @@ def estimate_gaussian(block_stack: np.ndarray, ridge_scale: float = 1e-4) -> Gau
 
 
 def _embed(mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return spd.half_vectorize(spd.embed_gaussian(mu, cov))
+    # cov from _gaussian, the M built from it and the embedding are exactly
+    # symmetric, so spd's private kernels skip the public functions'
+    # symmetrizations, which would leave them bitwise unchanged
+    return spd._half_vec(spd._embed(mu, cov))
 
 
 def block_feature(g: GaussianDescriptor) -> np.ndarray:
     """Half-vectorized Log-Euclidean embedding; length (d+1)(d+2)/2, one row
     per block for stacked Gaussians."""
-    return _embed(g.mu, g.cov)
+    return spd.half_vectorize(spd.embed_gaussian(g.mu, g.cov))
 
 
 def subbands(image: np.ndarray, config: RunConfig, stacks: dict | None = None) -> np.ndarray:

@@ -1,4 +1,14 @@
-"""Complex Gabor kernel bank and magnitude subband decomposition."""
+"""Complex Gabor kernel bank and magnitude subband decomposition.
+
+:func:`decompose` filters by FFT: one real FFT of the padded image, times
+each kernel part's cached spectrum (:func:`kernel_spectra`, at the size
+:func:`fft_shape` gives), then the inverse FFT and one ``hypot`` per
+kernel. The products go through the inverse FFT in stacks of kernel parts
+of at most ``STACK_BYTES``, so small images make few, large numpy calls
+and large ones keep each call's buffers within the cache. The planes are
+bitwise those of two ``scipy.signal.fftconvolve`` calls per kernel,
+whatever the stacks and the thread split.
+"""
 
 from __future__ import annotations
 
@@ -11,13 +21,14 @@ import numpy as np
 from .errors import ConfigError, ImageTooSmall, InvalidIndex
 from .parallel import split
 
-#: Fewest pixels per plane at which :func:`decompose` runs each kernel's
-#: real and imaginary parts through the inverse FFT one at a time rather
-#: than as one stacked pair. A pair at 160x160 needs about 3 MB of FFT
-#: buffers, more than a 2 MB L2 cache holds: pairs were 4-6 % faster up to
-#: 144x144, equal at 160x160 and 176x176, and 2-8 % slower from 192x192 to
-#: 256x256 (2-vCPU VM).
-MIN_ONE_PART_PIXELS = 160 * 160
+#: Bytes of kernel-part products that :func:`decompose` sends through one
+#: inverse FFT call: a stack holds the most whole kernels whose two parts
+#: fit, or, where one kernel's parts do not, one part. Each part of an
+#: (F0, F1) FFT takes F0*(F1//2 + 1)*16 bytes: 52 KB at 64x64, so a call
+#: takes 4 parts, and from 168 KB at 128x128 one part. On one thread of a
+#: 2-vCPU VM (2 MB L2 per core), 384 and 512 KB budgets made a 64x64
+#: decompose 5 % and 22 % slower than 256 KB, and 512 KB a 48x48 one 45 %.
+STACK_BYTES = 256 * 1024
 
 #: Largest bank a config or model file may ask for; the paper's is 8x5 and
 #: the default 8x4. The cached kernel spectra take U*V*2*16 bytes per FFT
@@ -170,6 +181,13 @@ def next_fast_len(n: int) -> int:
     return best
 
 
+def fft_shape(image_shape: tuple[int, int], window_len: int) -> tuple[int, int]:
+    """FFT size at which :func:`decompose` filters an image of this shape:
+    per axis, the reflect-padded length plus ``window_len - 1``, rounded up
+    by :func:`next_fast_len`, as ``scipy.signal.fftconvolve`` pads it."""
+    return tuple(next_fast_len(n + 2 * (window_len - 1)) for n in image_shape)
+
+
 @lru_cache(maxsize=4)
 def kernel_spectra(params: GaborParams, fshape: tuple[int, int]) -> np.ndarray:
     """Real-FFT spectra of every flipped kernel part, zero-padded to
@@ -212,9 +230,9 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     path (default) or the direct spatial path used as its oracle.
 
     The FFT path takes one real FFT of the padded image and multiplies it by
-    each cached kernel spectrum. The real and imaginary parts of a kernel
-    then go through the inverse FFT as one stacked pair, one call per pass,
-    or one part at a time for planes of at least ``MIN_ONE_PART_PIXELS``.
+    each cached kernel spectrum. The products go through the inverse FFT in
+    stacks of kernel parts, as many as fit in ``STACK_BYTES`` (at least
+    one), one call per pass, and one ``hypot`` per stack writes its planes.
     The FFTs go through ``numpy.fft``; FFT length, product order,
     normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
@@ -239,15 +257,18 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
             planes[p] = np.hypot(re, im)
         return planes
 
-    fshape = tuple(next_fast_len(n + wl - 1) for n in padded.shape)
+    fshape = fft_shape(image.shape, wl)
     spectrum = np.fft.rfftn(padded, fshape, axes=(0, 1))
     h, w = image.shape
     valid = (slice(wl - 1, wl - 1 + h), slice(wl - 1, wl - 1 + w))
     spectra = kernel_spectra(bank.params, fshape)
+    parts = spectra.reshape(-1, *spectrum.shape)  # kernel p's parts at 2p, 2p + 1
     scale = 1.0 / (fshape[0] * fshape[1])
-    pairs = h * w < MIN_ONE_PART_PIXELS
+    part = spectrum.nbytes  # one kernel part's product
+    kernels = max(1, STACK_BYTES // (2 * part))  # per stack
+    per_call = 2 * kernels if 2 * part <= STACK_BYTES else 1  # parts
 
-    def inverse(product: np.ndarray) -> np.ndarray:
+    def inverse(product: np.ndarray, out: np.ndarray) -> None:
         # The two passes of an unscaled inverse real FFT over the last two
         # axes: columns, then each row on its own, so only the rows that
         # `valid` keeps. Then one multiply by 1/N, as scipy's backward norm
@@ -255,15 +276,17 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
         # from double equals scipy's from long double for every 5-smooth N
         # up to 1e12.
         rows = np.fft.ifft(product, axis=-2, norm="forward")[..., valid[0], :]
-        return np.fft.irfft(rows, fshape[1], axis=-1, norm="forward")[..., valid[1]] * scale
+        np.multiply(np.fft.irfft(rows, fshape[1], axis=-1, norm="forward")[..., valid[1]],
+                    scale, out=out)
 
     def filter_planes(lo: int, hi: int) -> None:
-        for p in range(lo, hi):
-            if pairs:
-                re, im = inverse(spectrum * spectra[p])
-            else:
-                re, im = (inverse(spectrum * part) for part in spectra[p])
-            np.hypot(re, im, out=planes[p])
+        out = np.empty((2 * min(kernels, hi - lo), h, w))
+        for p in range(lo, hi, kernels):
+            n = 2 * (min(p + kernels, hi) - p)
+            for i in range(0, n, per_call):
+                j = min(i + per_call, n)
+                inverse(spectrum * parts[2 * p + i : 2 * p + j], out[i:j])
+            np.hypot(out[0:n:2], out[1:n:2], out=planes[p : p + n // 2])
 
     split(filter_planes, len(bank), h * w)
     return planes

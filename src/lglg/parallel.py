@@ -68,10 +68,11 @@ AFFINITY = len(os.sched_getaffinity(0))
 CORES = AFFINITY if _OPENBLAS is not None else 1
 
 #: Fewest pixels per plane at which :func:`split` splits an image's Gabor
-#: planes or block list across cores. numpy's FFT holds the interpreter
-#: lock, so two threads overlap only the rest of each kernel's work; the
-#: plane split pays from 52x52 (13-17 % faster; 64x64 about 20 %), and at
-#: 48x48 and below it ranged from 9 % faster to 10 % slower (2-vCPU VM).
+#: planes or block list across cores. Per-call overhead bounds the split:
+#: single numpy calls at 64x64 ran at 1.4-1.9x one thread's throughput on
+#: two. The plane split pays from 52x52 (13-17 % faster; 64x64 about
+#: 20 %), and at 48x48 and below it ranged from 9 % faster to 10 % slower
+#: (2-vCPU VM).
 MIN_SPLIT_PIXELS = 52 * 52
 
 
@@ -88,19 +89,25 @@ def _one_core() -> None:
     CORES = 1
 
 
-def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator[T]:
+def imap(
+    fn: Callable[..., T], items: list, *args, jobs: int | None,
+    before_fork: Callable[[], None] | None = None,
+) -> Iterator[T]:
     """``fn(item, *args)`` for each of ``items``, yielded in order, from
     ``jobs`` one-thread worker processes, at most one per core of the CPU
     affinity (``None``: one per core; below 1: :func:`check_jobs` refuses
     it). At one job, or with one core in the affinity, they run here, each
-    free to :func:`split`. Closing the iterator early cancels the items not
-    yet started."""
+    free to :func:`split`. Otherwise ``before_fork()`` runs here first, so
+    that the workers share what it builds. Closing the iterator early
+    cancels the items not yet started."""
     check_jobs(jobs)
     jobs = min(AFFINITY if jobs is None else jobs, len(items), AFFINITY)
     if jobs <= 1:
         for item in items:
             yield fn(item, *args)
         return
+    if before_fork is not None:
+        before_fork()
     # here, not at the top: the executor loads multiprocessing, which costs
     # about 15 ms of a cold start that runs no pool
     import multiprocessing

@@ -2,11 +2,16 @@
 
 All matrices are plain float64 ndarrays; symmetry is the caller's contract
 and is re-enforced numerically (``(A + A.T) / 2``) before decomposition.
+Each public function is that symmetrization plus a private kernel that
+takes an exactly symmetric input; :mod:`lglg.descriptor` calls the
+kernels, whose inputs are built symmetric, and so skips the symmetrization
+passes, which leave such inputs bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,16 +41,31 @@ def _from_eig(V: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return _symmetrize((V * fw[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
+def _eig(A: np.ndarray) -> EigenDecomposition:
+    if not np.all(np.isfinite(A)):
+        raise NonFinite("matrix contains NaN or Inf")
+    w, V = np.linalg.eigh(A)
+    return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
+
+
 def sym_eig(A: np.ndarray) -> EigenDecomposition:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
     A stack of matrices (leading axes) gives stacked results.
     """
-    A = _symmetrize(A)
-    if not np.all(np.isfinite(A)):
-        raise NonFinite("matrix contains NaN or Inf")
-    w, V = np.linalg.eigh(A)
-    return EigenDecomposition(w[..., ::-1].copy(), V[..., ::-1].copy())
+    return _eig(_symmetrize(A))
+
+
+def _log(A: np.ndarray, floor: float | None) -> np.ndarray:
+    w, V = _eig(A)
+    if floor is None:
+        floor = DEFAULT_LOG_FLOOR_REL * np.maximum(w[..., :1], 0.0)
+    if np.any((floor <= 0.0) & (w[..., -1:] <= 0.0)):
+        raise NotPositiveDefinite("matrix has a non-positive eigenvalue and no floor")
+    w = np.maximum(w, floor)
+    if np.any(w <= 0.0):
+        raise NotPositiveDefinite("matrix not positive definite after flooring")
+    return _from_eig(V, np.log(w))
 
 
 def matrix_log(A: np.ndarray, floor: float | None = None) -> np.ndarray:
@@ -56,15 +76,7 @@ def matrix_log(A: np.ndarray, floor: float | None = None) -> np.ndarray:
     floor is ``1e-12`` times the largest eigenvalue of each matrix, which
     keeps numerically singular covariance estimates usable.
     """
-    w, V = sym_eig(A)
-    if floor is None:
-        floor = DEFAULT_LOG_FLOOR_REL * np.maximum(w[..., :1], 0.0)
-    if np.any((floor <= 0.0) & (w[..., -1:] <= 0.0)):
-        raise NotPositiveDefinite("matrix has a non-positive eigenvalue and no floor")
-    w = np.maximum(w, floor)
-    if np.any(w <= 0.0):
-        raise NotPositiveDefinite("matrix not positive definite after flooring")
-    return _from_eig(V, np.log(w))
+    return _log(_symmetrize(A), floor)
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
@@ -120,6 +132,18 @@ def log_euclidean_distance(C1: np.ndarray, C2: np.ndarray) -> float:
     return float(np.linalg.norm(matrix_log(C1) - matrix_log(C2), "fro"))
 
 
+def _embed(mu: np.ndarray, C: np.ndarray, floor: float | None = None) -> np.ndarray:
+    if not np.all(np.isfinite(mu)):
+        raise NonFinite("mean contains NaN or Inf")
+    d = mu.shape[-1]
+    M = np.empty(mu.shape[:-1] + (d + 1, d + 1))
+    M[..., :d, :d] = C + mu[..., :, None] * mu[..., None, :]
+    M[..., :d, d] = mu
+    M[..., d, :d] = mu
+    M[..., d, d] = 1.0
+    return 0.5 * _log(M, floor)
+
+
 def embed_gaussian(mu: np.ndarray, C: np.ndarray, floor: float | None = None) -> np.ndarray:
     """Embed a Gaussian (mu, C) as the symmetric (d+1)x(d+1) matrix
 
@@ -131,17 +155,29 @@ def embed_gaussian(mu: np.ndarray, C: np.ndarray, floor: float | None = None) ->
     """
     mu = np.asarray(mu, dtype=np.float64)
     C = _symmetrize(C)
-    d = mu.shape[-1]
-    if C.shape != mu.shape + (d,):
+    if C.shape != mu.shape + (mu.shape[-1],):
         raise DimensionMismatch(f"mean has shape {mu.shape} but covariance is {C.shape}")
-    if not np.all(np.isfinite(mu)):
-        raise NonFinite("mean contains NaN or Inf")
-    M = np.empty(mu.shape[:-1] + (d + 1, d + 1))
-    M[..., :d, :d] = C + mu[..., :, None] * mu[..., None, :]
-    M[..., :d, d] = mu
-    M[..., d, :d] = mu
-    M[..., d, d] = 1.0
-    return 0.5 * matrix_log(M, floor=floor)
+    return _embed(mu, C, floor)
+
+
+@lru_cache(maxsize=8)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the lower triangle of an n x n matrix, and
+    the mask of its off-diagonal entries. Memoized; the arrays are
+    read-only."""
+    rows, cols = np.tril_indices(n)
+    arrays = rows, cols, rows != cols
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _half_vec(A: np.ndarray) -> np.ndarray:
+    # column-major upper triangle == row-major lower triangle for symmetric A
+    rows, cols, off = _triangle(A.shape[-1])
+    v = A[..., rows, cols]
+    v[..., off] *= math.sqrt(2.0)
+    return v
 
 
 def half_vectorize(A: np.ndarray) -> np.ndarray:
@@ -151,10 +187,4 @@ def half_vectorize(A: np.ndarray) -> np.ndarray:
     Preserves the Frobenius inner product, so Euclidean distances between
     half-vectorized matrices equal Frobenius distances between the matrices.
     """
-    A = _symmetrize(A)
-    n = A.shape[-1]
-    # column-major upper triangle == row-major lower triangle for symmetric A
-    rows, cols = np.tril_indices(n)
-    v = A[..., rows, cols]
-    v[..., rows != cols] *= math.sqrt(2.0)
-    return v
+    return _half_vec(_symmetrize(A))

@@ -64,8 +64,9 @@ def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
     w, v = np.linalg.eigh(0.5 * (c + c.T))
     w, v = w[::-1], v[:, ::-1]
     # zero when the largest eigenvalue is not positive or is NaN (the Gram
-    # matrix overflowed)
-    rank = int(np.sum(w > RANK_CUTOFF_REL * w[0]))
+    # matrix overflowed). Centring leaves rank N - 1 at most, but rows that
+    # differ near rounding level can lift the noise eigenvalue over the cutoff
+    rank = min(int(np.sum(w > RANK_CUTOFF_REL * w[0])), n - 1)
     if rank == 0:
         raise DegenerateTrainingSet("training features have rank 0")
     k = min(k_requested, rank)

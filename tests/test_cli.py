@@ -64,6 +64,17 @@ class TestEnroll:
         captured = capsys.readouterr().out
         assert "k=" in captured and "feature_length=" in captured
 
+    def test_keeps_at_most_n_minus_one_components(self, tmp_path, capsys):
+        # a near-flat bank makes three gallery features differ near rounding
+        # level; their centred rank is 2, and 2 is what the model keeps
+        gallery_manifest, _ = write_benchmark(tmp_path, n_classes=3, size=32, seed=0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma_pi=1000\nk_max_pi=0.001\n")
+        code = main(["enroll", "--config", str(cfg), "--manifest", gallery_manifest,
+                     "--out", str(tmp_path / "m.bin"), "--jobs", "1"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("k=2 ")
+
     def test_missing_image_exits_3(self, config_file, tmp_path, capsys):
         manifest = tmp_path / "bad.csv"
         manifest.write_text("path,subject_id,subset\nmissing1.pgm,a,g\nmissing2.pgm,b,g\n")

@@ -144,13 +144,15 @@ PGM = st.one_of(st.binary(max_size=64), small_pgm(), small_pgm().map(lambda b: b
 
 
 @FUZZ
-@given(PGM)
-def test_enroll_pgm(files, capsys, data):
+@given(PGM, st.booleans())
+def test_enroll_pgm(files, capsys, data, first):
+    # first: the image whose size the parent builds the kernel spectra for
     image = files["root"] / "fuzz_gallery.pgm"
     image.write_bytes(data)
     manifest = files["root"] / "fuzz_gallery.csv"
-    lines = open(files["gallery"], encoding="utf-8").read().splitlines()
-    manifest.write_text("\n".join(lines[:3] + [f"{image},fuzzed,gallery"]) + "\n")
+    header, *lines = open(files["gallery"], encoding="utf-8").read().splitlines()[:3]
+    fuzzed = [f"{image},fuzzed,gallery"]
+    manifest.write_text("\n".join([header] + (fuzzed + lines if first else lines + fuzzed)) + "\n")
     fails_with_one_line(capsys, ["enroll", "--config", files["config"], "--manifest", str(manifest),
                                  "--out", str(files["root"] / "never.bin")])
 

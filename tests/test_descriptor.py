@@ -494,7 +494,8 @@ def per_block_oracle(block, ridge_scale):
 
 
 def per_block_feature(image, cfg, keypoints=None):
-    """``image_feature`` as a loop of single-block calls."""
+    """``image_feature`` as a loop of single-block calls of the public,
+    symmetrizing ``spd`` functions."""
     pre = preprocess_chain(image, cfg.preprocess_params())
     planes = decompose(pre, build_bank(cfg.gabor_params()))
     bs = cfg.block_size
@@ -503,7 +504,8 @@ def per_block_feature(image, cfg, keypoints=None):
     else:
         rects = keypoint_blocks(image.shape, keypoints, bs)
     blocks = [planes[:, top : top + bs, left : left + bs] for top, left in rects]
-    return np.concatenate([block_feature(estimate_gaussian(b, cfg.ridge_scale)) for b in blocks])
+    gaussians = [estimate_gaussian(b, cfg.ridge_scale) for b in blocks]
+    return np.concatenate([spd.half_vectorize(spd.embed_gaussian(g.mu, g.cov)) for g in gaussians])
 
 
 class TestStackedBitwise:
@@ -558,6 +560,13 @@ class TestStackedBitwise:
         blocks[1, 0, 2, 2] = np.nan
         with pytest.raises(NonFinite):
             block_feature(estimate_gaussian(blocks))
+
+    def test_planes_with_nan_raise(self, rng):
+        # block_features embeds through spd's private kernels
+        planes = rng.uniform(0.0, 1.0, (6, 10, 10))
+        planes[2, 7, 4] = np.nan
+        with pytest.raises(NonFinite):
+            block_features(planes, RunConfig(block_size=5))
 
     def test_stack_with_indefinite_matrix_raises(self, rng):
         stack = np.stack([random_spd(rng, 4), np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)])

@@ -167,11 +167,15 @@ def fftconvolve_reference(image, bank):
 
 class TestDecomposeBitwise:
     # FFT lengths (8x4-w9): 80x80, 54x72, 108x54, 120x100, 75x135, so
-    # radices 2, 3 and 5 mixed, and odd lengths
-    @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (91, 37), (100, 81), (59, 117)])
+    # radices 2, 3 and 5 mixed, and odd lengths; then 180x180 and 288x288,
+    # where a stack holds one kernel part. The 15 kernels of 5x3 fill no
+    # whole number of stacks of two kernels (64x64) or three (37x50)
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (91, 37), (100, 81), (59, 117),
+                                       (160, 160), (256, 256)])
     @pytest.mark.parametrize(
-        "params", [GaborParams(), GaborParams(directions=3, scales=2, window_len=7)],
-        ids=["8x4-w9", "3x2-w7"],
+        "params", [GaborParams(), GaborParams(directions=3, scales=2, window_len=7),
+                   GaborParams(directions=5, scales=3)],
+        ids=["8x4-w9", "3x2-w7", "5x3-w9"],
     )
     def test_equals_per_kernel_fftconvolve(self, rng, shape, params):
         bank = build_bank(params)
@@ -193,22 +197,22 @@ class TestDecomposeCores:
     def test_split_equals_one_thread(self, rng, monkeypatch, cores):
         # 128x128 and 64x64 planes split without lowering MIN_SPLIT_PIXELS,
         # 37x50 (FFT 54x72) only with it lowered; the 15 planes of a 5x3
-        # bank divide by neither 2 nor 4 cores. Each shape runs with kernel
-        # parts stacked in pairs, then one at a time, as planes from
-        # MIN_ONE_PART_PIXELS run
+        # bank divide by neither 2 nor 4 cores. Each shape runs with one
+        # kernel part per inverse FFT call, then each thread's whole range
+        # in one call
         bank = build_bank(GaborParams(directions=5, scales=3))
         for shape, min_split in [((128, 128), parallel.MIN_SPLIT_PIXELS),
                                  ((64, 64), parallel.MIN_SPLIT_PIXELS), ((37, 50), 0)]:
             image = rng.uniform(0.0, 1.0, shape)
             reference = fftconvolve_reference(image, bank).tobytes()
-            for min_one_part in (gabor.MIN_ONE_PART_PIXELS, 0):
+            for stack_bytes in (0, 2**40):
                 monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", min_split)
-                monkeypatch.setattr(gabor, "MIN_ONE_PART_PIXELS", min_one_part)
+                monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
                 monkeypatch.setattr(parallel, "CORES", 1)
                 one = decompose(image, bank).tobytes()
                 monkeypatch.setattr(parallel, "CORES", cores)
                 split = decompose(image, bank).tobytes()
-                assert split == one and split == reference, (shape, min_one_part)
+                assert split == one and split == reference, (shape, stack_bytes)
 
     @pytest.mark.parametrize(
         "shape, split",
@@ -224,20 +228,34 @@ class TestDecomposeCores:
         decompose(np.zeros(shape), build_bank(GaborParams()))
         assert parts == ([2] if split else [1])
 
+    # one kernel part of a 64x64 image's 80x80 FFT: 80 * 41 complex values
+    PART_64 = 80 * 41 * 16
+
     @pytest.mark.parametrize(
-        "shape, pairs",
-        [((64, 64), True), ((159, 161), True), ((160, 160), False), ((100, 256), False)],
+        "shape, stack_bytes, calls",
+        [((64, 64), None, [4] * 7 + [2]),  # 4.99 parts fit: two kernels a stack
+         ((64, 64), 3 * PART_64, [2] * 15),  # 3 parts: one kernel
+         ((64, 64), PART_64, [1] * 30),  # 1 part: one kernel, its parts apart
+         ((64, 64), 0, [1] * 30),  # none: still one part
+         ((64, 64), 2**40, [30]),  # all of them: the whole range
+         ((160, 160), None, [1] * 30),  # 180x180 FFT, 262080 bytes a part
+         ((256, 256), None, [1] * 30)],
+        ids=["64-default", "64-three-parts", "64-one-part", "64-zero", "64-whole-range",
+             "160-default", "256-default"],
     )
-    def test_pairs_below_min_one_part_pixels(self, monkeypatch, shape, pairs):
-        # the leading shape of every column transform: (2,) for a kernel's
-        # two parts at once, () for one part
+    def test_parts_per_call_follow_stack_bytes(self, monkeypatch, shape, stack_bytes, calls):
+        # the leading length of every column transform, on one thread, for
+        # the 15 kernels of a 5x3 bank
+        monkeypatch.setattr(parallel, "CORES", 1)
+        if stack_bytes is not None:
+            monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
         leading = []
         ifft = np.fft.ifft
         monkeypatch.setattr(
-            np.fft, "ifft", lambda a, **kw: leading.append(a.shape[:-2]) or ifft(a, **kw)
+            np.fft, "ifft", lambda a, **kw: leading.append(a.shape[0]) or ifft(a, **kw)
         )
-        decompose(np.zeros(shape), build_bank(GaborParams(directions=1, scales=1)))
-        assert leading == ([(2,)] if pairs else [(), ()])
+        decompose(np.zeros(shape), build_bank(GaborParams(directions=5, scales=3)))
+        assert leading == calls
 
 
 class TestCaches:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglg import parallel, pipeline
+from lglg import gabor, parallel, pipeline
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.errors import (
@@ -156,6 +156,12 @@ class TestJobsClamp:
         assert recorded == expected
         assert RecordingExecutor.start_methods == ["fork"] * len(expected)
 
+    def test_before_fork_runs_only_before_a_pool(self, recorded):
+        calls = []
+        for jobs in (1, 2):
+            list(parallel.imap(str, ["a", "b"], jobs=jobs, before_fork=lambda: calls.append(jobs)))
+        assert calls == [2] and recorded == [2]
+
     def test_one_core_in_affinity_starts_no_pool(self, recorded, monkeypatch):
         monkeypatch.setattr(parallel, "AFFINITY", 1)
         paths = [f"img{i}.pgm" for i in range(3)]
@@ -252,6 +258,22 @@ class TestPool:
     def test_pool_worker_runs_one_core(self):
         assert list(parallel.imap(_worker_cores, ["a.pgm", "b.pgm"], jobs=2)) == [1, 1]
 
+    def test_workers_share_the_parents_spectra(
+        self, benchmark_dataset, benchmark_gallery, default_config, monkeypatch
+    ):
+        # each call builds the kernel spectra here, before its pool forks
+        monkeypatch.setattr(parallel, "AFFINITY", 2)
+        monkeypatch.setattr(pipeline, "_extract_all", _extract_all_building_no_spectra)
+        gallery_records, probe_records = map(pipeline.load_manifest, benchmark_dataset)
+        config = dataclasses.replace(default_config, k_requested=5)
+        for call in (
+            lambda: pipeline.enroll(gallery_records, config, jobs=2),
+            lambda: pipeline.evaluate(benchmark_gallery, probe_records[:4], default_config, jobs=2),
+            lambda: pipeline.sweep(gallery_records, probe_records[:2], [config], jobs=2),
+        ):
+            gabor.kernel_spectra.cache_clear()
+            call()
+
     def test_pool_after_threaded_identify_equals_jobs_1(
         self, benchmark_dataset, benchmark_gallery, default_config, tmp_path, monkeypatch
     ):
@@ -275,6 +297,17 @@ class TestPool:
 
 def _worker_cores(path):
     return parallel.CORES
+
+
+_EXTRACT_ALL = pipeline._extract_all
+
+
+def _extract_all_building_no_spectra(path, configs, keypoints_dir):
+    misses = gabor.kernel_spectra.cache_info().misses
+    features = _EXTRACT_ALL(path, configs, keypoints_dir)
+    if gabor.kernel_spectra.cache_info().misses != misses:
+        raise AssertionError(f"{path}: a worker built kernel spectra")
+    return features
 
 
 class TestEnroll:

@@ -45,6 +45,13 @@ class TestFit:
         model = wpca.fit(X, 300)
         assert model.output_dim <= 9
 
+    def test_rows_ulps_apart_keep_n_minus_one(self, rng):
+        # centring rounds at the rows' own spacing, so the rank-2 centred
+        # Gram gets a third eigenvalue above the relative cutoff
+        v = rng.uniform(1.0, 2.0, 500)
+        X = np.vstack([v] + [v + rng.integers(-2, 3, 500) * np.spacing(v) for _ in range(2)])
+        assert wpca.fit(X, 10).output_dim == 2
+
     def test_degenerate_rank_zero(self):
         with pytest.raises(DegenerateTrainingSet):
             wpca.fit(np.ones((5, 7)), 3)
