@@ -21,7 +21,7 @@ import numpy as np
 
 from . import spd
 from .config import MODE_KEYPOINT, RunConfig
-from .errors import BlockTooLarge, KeypointError, TooFewSamples
+from .errors import BlockTooLarge, KeypointError, NonFinite, TooFewSamples
 from .gabor import build_bank, check_fits, decompose
 from .parallel import split
 from .preprocess import preprocess_chain
@@ -104,7 +104,11 @@ def _gaussian(block_stack: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, 
     *lead, d, bh, bw = block_stack.shape
     n = bh * bw
     samples = block_stack.reshape(*lead, d, n)
-    mu = samples.mean(axis=-1)
+    # NaN or ±inf samples give a mean that is not finite: stop before inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = samples.mean(axis=-1)
+    if not np.isfinite(mu).all():
+        raise NonFinite("block samples hold NaN or Inf")
     centered = samples - mu[..., None]
     cov = centered @ np.swapaxes(centered, -1, -2) / n
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
@@ -145,7 +149,7 @@ def subbands(image: np.ndarray, config: RunConfig, stacks: dict | None = None) -
 
     ``stacks`` belongs to one image: a repeat call with the same settings
     returns the stack kept in it, and a new stack replaces the kept one, so
-    it holds at most one."""
+    it holds at most one. Entries under other keys, such as an image path, stay."""
     pre_params, gabor_params = key = (config.preprocess_params(), config.gabor_params())
     if stacks is not None and key in stacks:
         return stacks[key]
@@ -153,7 +157,8 @@ def subbands(image: np.ndarray, config: RunConfig, stacks: dict | None = None) -
     check_fits(np.shape(image), gabor_params.window_len)
     planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params))
     if stacks is not None:
-        stacks.clear()
+        for kept in [k for k in stacks if isinstance(k, tuple)]:
+            del stacks[kept]
         stacks[key] = planes
     return planes
 

@@ -1,53 +1,29 @@
-"""End-to-end enrollment, identification, evaluation and model persistence."""
+"""Feature extraction, enrollment, identification, evaluation and sweeps.
+The model file is read and written by :mod:`lglg.formats`."""
 
 from __future__ import annotations
 
 import contextlib
-import os
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import parallel
-from .config import CONFIG_BLOCK_SIZE, MODE_KEYPOINT, RunConfig
+from .config import MODE_KEYPOINT, RunConfig
 from .descriptor import image_feature
 from .errors import (
-    ChecksumMismatch,
-    ConfigError,
-    ConfigMismatch,
-    DegenerateTrainingSet,
-    DimensionMismatch,
-    ExtractionError,
-    FormatVersionMismatch,
-    LglgError,
-    ManifestError,
-    MissingGroundTruth,
-    ModelFormatError,
-    NoResults,
-    NonFinite,
+    ConfigMismatch, DegenerateTrainingSet, DimensionMismatch, ExtractionError, LglgError,
+    ManifestError, MissingGroundTruth, NoResults, NonFinite,
 )
-# perfbench calls load_manifest and ManifestRecord, and wraps read_pgm, through lglg.pipeline
-from .formats import ManifestRecord, keypoint_path, load_keypoints, load_manifest, read_pgm
+# perfbench calls load_manifest, save_model and load_model and wraps read_pgm,
+# save_model and load_model through lglg.pipeline
+from .formats import (
+    Gallery, ManifestRecord, keypoint_path, load_keypoints, load_manifest, load_model, read_pgm,
+    save_model,
+)
 from .gabor import check_fits, fft_shape, kernel_spectra
-from .wpca import ProjectionModel, fit, project, zscore
-
-MODEL_MAGIC = b"LGLG"
-MODEL_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Gallery:
-    config: RunConfig
-    model: ProjectionModel
-    subject_ids: list[str]
-    features: np.ndarray = field(repr=False)  # n_entries x output_dim, standardized
-
-    @property
-    def fingerprint(self) -> str:
-        return self.config.feature_fingerprint()
+from .wpca import fit, project, zscore
 
 
 @dataclass(frozen=True)
@@ -58,28 +34,26 @@ class MatchResult:
 
     @property
     def correct_rank(self) -> int | None:
-        if self.true_subject is None:
-            return None
-        for rank, (subject, _) in enumerate(self.ranking, start=1):
-            if subject == self.true_subject:
-                return rank
-        return None
+        ranks = (r for r, (s, _) in enumerate(self.ranking, start=1) if s == self.true_subject)
+        return None if self.true_subject is None else next(ranks, None)
 
 
 def extract_feature(
     path: str, config: RunConfig, keypoints_dir: str | None = None, stacks: dict | None = None
 ) -> np.ndarray:
     """Load one image and run the full descriptor pipeline on it. Calls that
-    pass the same ``stacks`` dict for one image share its subband stack
-    (:func:`lglg.descriptor.subbands`)."""
+    pass the same ``stacks`` dict for one image read it once, kept under its
+    path, and share its subband stack (:func:`lglg.descriptor.subbands`)."""
+    stacks = {} if stacks is None else stacks
     try:
-        image = read_pgm(path).astype(np.float64) / 255.0
+        if path not in stacks:
+            stacks[path] = read_pgm(path).astype(np.float64) / 255.0
         keypoints = None
         if config.mode == MODE_KEYPOINT:
             if keypoints_dir is None:
                 raise ManifestError("keypoint mode requires --keypoints-dir")
             keypoints = load_keypoints(keypoint_path(path, keypoints_dir), config.keypoint_count)
-        return image_feature(image, config, keypoints=keypoints, stacks=stacks)
+        return image_feature(stacks[path], config, keypoints=keypoints, stacks=stacks)
     except ExtractionError:
         raise
     except (LglgError, OSError) as exc:
@@ -90,8 +64,8 @@ def _extract_all(
     path: str, configs: list[RunConfig], keypoints_dir: str | None
 ) -> list[np.ndarray]:
     """:func:`extract_feature` of ``path`` under each of ``configs``, in
-    order. Configs with the same preprocess and Gabor settings share one
-    subband stack of the image."""
+    order. The image is read once, and configs with the same preprocess and
+    Gabor settings share one subband stack of it."""
     stacks: dict = {}
     return [extract_feature(path, config, keypoints_dir, stacks) for config in configs]
 
@@ -137,15 +111,6 @@ def _feature_matrices(
 def _check_gallery_size(records: list[ManifestRecord]) -> None:
     if len(records) < 2:
         raise DegenerateTrainingSet("enrollment needs at least 2 gallery records")
-
-
-def _check_model_size(n_entries: int, k: int, where: str) -> None:
-    """Refuse a model :func:`enroll` cannot make: fewer than 2 entries or
-    fewer than 2 WPCA components."""
-    if n_entries < 2 or k < 2:
-        raise ModelFormatError(
-            f"{where}{n_entries} entries with {k} components; a model holds at least 2 of each"
-        )
 
 
 def enroll(
@@ -231,14 +196,10 @@ def rank_accuracy(results: list[MatchResult], r: int) -> float:
     """Fraction of probes whose correct subject appears at rank <= r."""
     if not results:
         raise NoResults("no match results to score")
-    hits = 0
     for res in results:
         if res.true_subject is None:
             raise MissingGroundTruth(f"{res.probe}: no ground-truth subject")
-        rank = res.correct_rank
-        if rank is not None and rank <= r:
-            hits += 1
-    return hits / len(results)
+    return sum((res.correct_rank or r + 1) <= r for res in results) / len(results)
 
 
 def evaluate(
@@ -317,117 +278,3 @@ def sweep(
         for i, row_results in results.items():
             accuracies[i] = rank_accuracy(row_results, 1)
     return accuracies
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def save_model(gallery: Gallery, path: str) -> None:
-    """Binary model file: magic, version, config block, dims, WPCA state,
-    standardized entries, trailing CRC-32 of everything before it.
-
-    The file is written under a temporary name in the same directory and
-    renamed over ``path``, so readers never see a partial model."""
-    sids = [s.encode("utf-8") for s in gallery.subject_ids]
-    for subject_id, sid in zip(gallery.subject_ids, sids):
-        if len(sid) > 0xFFFF:
-            raise ModelFormatError(
-                f"subject id {subject_id[:40]!r}... has {len(sid)} UTF-8 bytes, at most 65535 fit"
-            )
-    model = gallery.model
-    _check_model_size(len(sids), model.output_dim, "gallery has ")
-    shape = (len(sids), model.output_dim)
-    if np.shape(gallery.features) != shape:
-        raise DimensionMismatch(
-            f"gallery features have shape {np.shape(gallery.features)}, "
-            f"{len(sids)} subject ids with {model.output_dim} components need {shape}"
-        )
-    parts = [
-        MODEL_MAGIC,
-        struct.pack("<H", MODEL_VERSION),
-        gallery.config.pack(),
-        struct.pack("<III", model.input_dim, model.output_dim, len(sids)),
-        _pack_array(model.train_mean),
-        _pack_array(model.basis),
-        _pack_array(model.eigvals),
-    ]
-    for sid, feat in zip(sids, gallery.features):
-        parts.append(struct.pack("<H", len(sid)))
-        parts.append(sid)
-        parts.append(_pack_array(feat))
-    body = b"".join(parts)
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body)))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def load_model(path: str) -> Gallery:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MODEL_MAGIC) + 2 + 4:
-        raise ChecksumMismatch(f"{path}: file too short")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(body):
-        raise ChecksumMismatch(f"{path}: CRC-32 mismatch (truncated or corrupted)")
-    if body[:4] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack("<H", body[4:6])
-    if version != MODEL_VERSION:
-        raise FormatVersionMismatch(f"{path}: format version {version}, expected {MODEL_VERSION}")
-    view = memoryview(body)
-    pos = 6
-
-    def take(size: int) -> memoryview:
-        nonlocal pos
-        if size > len(body) - pos:
-            raise ModelFormatError(f"{path}: truncated: {size} bytes needed at offset {pos}")
-        pos += size
-        return view[pos - size : pos]
-
-    def take_floats(count: int) -> np.ndarray:
-        return np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
-
-    try:
-        config = RunConfig.unpack(take(CONFIG_BLOCK_SIZE))
-    except ConfigError as exc:
-        raise ModelFormatError(f"{path}: config block: {exc}") from exc
-    input_dim, k, n = struct.unpack("<III", take(12))
-    _check_model_size(n, k, f"{path}: ")
-    # every entry holds at least its 2-byte id length and k floats
-    need = 8 * (input_dim * (k + 1) + k) + n * (2 + 8 * k)
-    if need > len(body) - pos:
-        raise ModelFormatError(
-            f"{path}: dims {input_dim}x{k} with {n} entries need at least {need} bytes, "
-            f"{len(body) - pos} left"
-        )
-    train_mean = take_floats(input_dim)
-    basis = take_floats(input_dim * k).reshape(input_dim, k)
-    eigvals = take_floats(k)
-    subject_ids = []
-    features = np.empty((n, k))
-    for i in range(n):
-        (sid_len,) = struct.unpack("<H", take(2))
-        try:
-            subject_ids.append(str(take(sid_len), "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"{path}: entry {i}: subject id is not UTF-8") from exc
-        features[i] = take_floats(k)
-    if pos != len(body):
-        raise ModelFormatError(f"{path}: trailing bytes after entries")
-    if not all(np.isfinite(a).all() for a in (train_mean, basis, eigvals, features)):
-        raise ModelFormatError(f"{path}: WPCA state or entries hold NaN or Inf")
-    if not (eigvals > 0.0).all():
-        raise ModelFormatError(f"{path}: WPCA eigenvalues must be positive")
-    model = ProjectionModel(train_mean=train_mean, basis=basis, eigvals=eigvals)
-    return Gallery(config=config, model=model, subject_ids=subject_ids, features=features)

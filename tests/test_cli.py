@@ -480,6 +480,20 @@ class TestSweepSharesExtraction:
         assert set(calls.values()) == {1}
         assert sum(calls.values()) == 3 * images
 
+    def test_each_image_read_once(self, sweep_dataset, monkeypatch):
+        calls = Counter()
+        read = pipeline.read_pgm
+
+        def counting(path):
+            calls[path] += 1
+            return read(path)
+
+        monkeypatch.setattr(pipeline, "read_pgm", counting)
+        configs = [RunConfig(block_size=b, k_requested=5) for b in (11, 15, 21)]
+        pipeline.sweep(*map(load_manifest, sweep_dataset), configs, jobs=1)
+        assert set(calls.values()) == {1}
+        assert len(calls) == self.images(sweep_dataset)
+
     @pytest.fixture
     def decompose_calls(self, monkeypatch):
         """(preprocessed image bytes, Gabor settings) of every decompose call."""

@@ -562,11 +562,15 @@ class TestStackedBitwise:
             block_feature(estimate_gaussian(blocks))
 
     def test_planes_with_nan_raise(self, rng):
-        # block_features embeds through spd's private kernels
-        planes = rng.uniform(0.0, 1.0, (6, 10, 10))
-        planes[2, 7, 4] = np.nan
-        with pytest.raises(NonFinite):
-            block_features(planes, RunConfig(block_size=5))
+        # block_features embeds through spd's private kernels; ±inf must raise
+        # NonFinite too, not the RuntimeWarning of inf - inf
+        for value in (np.nan, np.inf, -np.inf):
+            planes = rng.uniform(0.0, 1.0, (6, 10, 10))
+            planes[2, 7, 4] = value
+            with pytest.raises(NonFinite):
+                block_features(planes, RunConfig(block_size=5))
+            with pytest.raises(NonFinite):
+                estimate_gaussian(planes[:, 5:, :5])
 
     def test_stack_with_indefinite_matrix_raises(self, rng):
         stack = np.stack([random_spd(rng, 4), np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)])

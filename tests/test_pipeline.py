@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglg import gabor, parallel, pipeline
+from lglg import formats, gabor, parallel, pipeline
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.errors import (
@@ -502,6 +502,9 @@ class TestPersistence:
         assert np.array_equal(loaded.model.train_mean, benchmark_gallery.model.train_mean)
         assert np.array_equal(loaded.model.basis, benchmark_gallery.model.basis)
         assert np.array_equal(loaded.model.eigvals, benchmark_gallery.model.eigvals)
+        again = tmp_path / "again.bin"
+        save_model(loaded, str(again))
+        assert again.read_bytes() == p.read_bytes()
 
     def test_truncated_file(self, benchmark_gallery, tmp_path):
         p = tmp_path / "m.bin"
@@ -647,7 +650,7 @@ class TestModelFile:
         assert list(tmp_path.iterdir()) == []
         # a CRC-valid file of such a gallery, as a writer without the check makes it
         with monkeypatch.context() as m:
-            m.setattr(pipeline, "_check_model_size", lambda *args: None)
+            m.setattr(formats, "_check_model_size", lambda *args: None)
             save_model(gallery, str(p))
         with pytest.raises(ModelFormatError, match=f"{p}: {len(subject_ids)} entries with {k} "):
             load_model(str(p))
