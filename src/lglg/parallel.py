@@ -9,8 +9,10 @@ stall the tiny LAPACK calls of a block stack. Where that OpenBLAS cannot
 be found, :data:`CORES` is 1 and extraction runs on one thread, as it does
 in process-pool workers.
 
-A batch of images goes through :func:`imap`, on ``jobs`` one-thread
-worker processes; :func:`check_jobs` is the one rule for ``jobs``.
+A batch of images goes through :func:`imap`: the first here, the rest on
+``jobs`` one-thread worker processes forked after it, which share what it
+built (the kernel bank, its spectra and numpy's FFT plans) copy-on-write;
+:func:`check_jobs` is the one rule for ``jobs``.
 
 One image's extraction splits its Gabor subbands, and then its block list,
 across the cores of the process's CPU affinity with :func:`split`: one
@@ -89,25 +91,21 @@ def _one_core() -> None:
     CORES = 1
 
 
-def imap(
-    fn: Callable[..., T], items: list, *args, jobs: int | None,
-    before_fork: Callable[[], None] | None = None,
-) -> Iterator[T]:
-    """``fn(item, *args)`` for each of ``items``, yielded in order, from
-    ``jobs`` one-thread worker processes, at most one per core of the CPU
-    affinity (``None``: one per core; below 1: :func:`check_jobs` refuses
-    it). At one job, or with one core in the affinity, they run here, each
-    free to :func:`split`. Otherwise ``before_fork()`` runs here first, so
-    that the workers share what it builds. Closing the iterator early
-    cancels the items not yet started."""
+def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator[T]:
+    """``fn(item, *args)`` for each of ``items``, yielded in order. The first
+    runs here; the rest run on ``jobs`` one-thread worker processes, forked
+    only once the first is done, and at most one per item left and per core
+    of the CPU affinity (``None``: one per core; below 1: :func:`check_jobs`
+    refuses it). At one job, with one core in the affinity, or with at most
+    one item left, they all run here, each free to :func:`split`. Closing the
+    iterator early cancels the items not yet started."""
     check_jobs(jobs)
-    jobs = min(AFFINITY if jobs is None else jobs, len(items), AFFINITY)
+    jobs = min(AFFINITY if jobs is None else jobs, len(items) - 1, AFFINITY)
     if jobs <= 1:
         for item in items:
             yield fn(item, *args)
         return
-    if before_fork is not None:
-        before_fork()
+    yield fn(items[0], *args)
     # here, not at the top: the executor loads multiprocessing, which costs
     # about 15 ms of a cold start that runs no pool
     import multiprocessing
@@ -117,7 +115,7 @@ def imap(
     # and never re-run the caller's script, which then needs no __main__ guard
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=fork, initializer=_one_core) as pool:
-        yield from pool.map(fn, items, *map(repeat, args))
+        yield from pool.map(fn, items[1:], *map(repeat, args))
 
 
 def split(fn: Callable[[int, int], T], n: int, pixels: int) -> list[T]:

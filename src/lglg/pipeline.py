@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .formats import (
     Gallery, ManifestRecord, keypoint_path, load_keypoints, load_manifest, load_model, read_pgm,
     save_model,
 )
-from .gabor import check_fits, fft_shape, kernel_spectra
 from .wpca import fit, project, zscore
 
 
@@ -70,21 +68,6 @@ def _extract_all(
     return [extract_feature(path, config, keypoints_dir, stacks) for config in configs]
 
 
-def _share_spectra(path: str, config: RunConfig) -> None:
-    """Build ``config``'s kernel bank and spectra at the FFT size of
-    ``path``'s image here, before a pool forks, so that its workers share
-    one copy instead of building one each (43 MB at 256² for the default
-    bank). An image that cannot be read or filtered is left for its
-    extraction to report."""
-    params = config.gabor_params()
-    try:
-        shape = read_pgm(path).shape
-        check_fits(shape, params.window_len)
-    except (LglgError, OSError):
-        return
-    kernel_spectra(params, fft_shape(shape, params.window_len))
-
-
 def _feature_matrices(
     paths: list[str], configs: list[RunConfig], keypoints_dir: str | None, jobs: int | None
 ) -> list[np.ndarray]:
@@ -92,8 +75,7 @@ def _feature_matrices(
     feature is copied into its row as it arrives from :func:`parallel.imap`.
     Every image must give the first one's feature length."""
     matrices: list[np.ndarray] = []
-    extracted = parallel.imap(_extract_all, paths, configs, keypoints_dir, jobs=jobs,
-                              before_fork=partial(_share_spectra, paths[0], configs[0]))
+    extracted = parallel.imap(_extract_all, paths, configs, keypoints_dir, jobs=jobs)
     with contextlib.closing(extracted):
         for i, features in enumerate(extracted):
             if i == 0:
@@ -220,8 +202,7 @@ def evaluate(
     _check_config(gallery, config)
     by_subset: dict[str, list[MatchResult]] = {}
     paths = [r.path for r in records]
-    extracted = parallel.imap(_extract_all, paths, [config], keypoints_dir, jobs=jobs,
-                              before_fork=partial(_share_spectra, paths[0], config))
+    extracted = parallel.imap(_extract_all, paths, [config], keypoints_dir, jobs=jobs)
     with contextlib.closing(extracted):
         for rec, [feature] in zip(records, extracted):
             res = rank(gallery, feature, rec.path, rec.subject_id)

@@ -132,7 +132,7 @@ def log_euclidean_distance(C1: np.ndarray, C2: np.ndarray) -> float:
     return float(np.linalg.norm(matrix_log(C1) - matrix_log(C2), "fro"))
 
 
-def _embed(mu: np.ndarray, C: np.ndarray, floor: float | None = None) -> np.ndarray:
+def _embed(mu: np.ndarray, C: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(mu)):
         raise NonFinite("mean contains NaN or Inf")
     d = mu.shape[-1]
@@ -141,10 +141,10 @@ def _embed(mu: np.ndarray, C: np.ndarray, floor: float | None = None) -> np.ndar
     M[..., :d, d] = mu
     M[..., d, :d] = mu
     M[..., d, d] = 1.0
-    return 0.5 * _log(M, floor)
+    return 0.5 * _log(M, None)
 
 
-def embed_gaussian(mu: np.ndarray, C: np.ndarray, floor: float | None = None) -> np.ndarray:
+def embed_gaussian(mu: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Embed a Gaussian (mu, C) as the symmetric (d+1)x(d+1) matrix
 
         B = log(M^{1/2}),  M = [[C + mu mu^T, mu], [mu^T, 1]],
@@ -157,7 +157,7 @@ def embed_gaussian(mu: np.ndarray, C: np.ndarray, floor: float | None = None) ->
     C = _symmetrize(C)
     if C.shape != mu.shape + (mu.shape[-1],):
         raise DimensionMismatch(f"mean has shape {mu.shape} but covariance is {C.shape}")
-    return _embed(mu, C, floor)
+    return _embed(mu, C)
 
 
 @lru_cache(maxsize=8)

@@ -145,9 +145,12 @@ class TestJobsClamp:
 
     @pytest.mark.parametrize(
         "n_paths,jobs,expected",
-        [(3, 1000, [3]), (10, 1000, [4]), (10, 2, [2]), (10, 1, []), (1, 8, []),
+        # the first item runs here, then at most one worker per item left
+        [(3, 1000, [2]), (10, 1000, [4]), (10, 2, [2]), (10, 1, []), (1, 8, []),
          # the default: one worker per core of the affinity
-         (3, None, [3]), (10, None, [4]), (1, None, [])],
+         (3, None, [2]), (10, None, [4]), (1, None, []),
+         # one item left runs here too
+         (2, 8, [])],
     )
     def test_max_workers(self, recorded, n_paths, jobs, expected):
         paths = [f"img{i}.pgm" for i in range(n_paths)]
@@ -156,11 +159,30 @@ class TestJobsClamp:
         assert recorded == expected
         assert RecordingExecutor.start_methods == ["fork"] * len(expected)
 
-    def test_before_fork_runs_only_before_a_pool(self, recorded):
+    def test_closing_after_the_first_item_starts_no_pool(self, recorded):
         calls = []
-        for jobs in (1, 2):
-            list(parallel.imap(str, ["a", "b"], jobs=jobs, before_fork=lambda: calls.append(jobs)))
-        assert calls == [2] and recorded == [2]
+        extracted = parallel.imap(calls.append, ["a", "b", "c"], jobs=2)
+        assert next(extracted) is None
+        extracted.close()
+        assert calls == ["a"] and recorded == []
+
+    @pytest.mark.parametrize("command", ["enroll", "evaluate", "sweep"])
+    def test_missing_first_image_raises_before_a_pool(
+        self, recorded, benchmark_dataset, benchmark_gallery, default_config, command
+    ):
+        gallery_records, probe_records = map(pipeline.load_manifest, benchmark_dataset)
+        missing = pipeline.ManifestRecord("nonexistent_first.pgm", "s9", "g")
+        with pytest.raises(ExtractionError, match="nonexistent_first.pgm") as exc:
+            if command == "enroll":
+                pipeline.enroll([missing, *gallery_records], default_config, jobs=2)
+            elif command == "evaluate":
+                pipeline.evaluate(benchmark_gallery, [missing, *probe_records[:4]], default_config,
+                                  jobs=2)
+            else:
+                pipeline.sweep([missing, *gallery_records], probe_records[:2], [default_config],
+                               jobs=2)
+        assert isinstance(exc.value.cause, OSError)
+        assert recorded == []
 
     def test_one_core_in_affinity_starts_no_pool(self, recorded, monkeypatch):
         monkeypatch.setattr(parallel, "AFFINITY", 1)
@@ -256,12 +278,15 @@ class TestPool:
         assert parallel.split(lambda lo, hi: (lo, hi), 10, parallel.MIN_SPLIT_PIXELS) == [(0, 10)]
 
     def test_pool_worker_runs_one_core(self):
-        assert list(parallel.imap(_worker_cores, ["a.pgm", "b.pgm"], jobs=2)) == [1, 1]
+        # the first item runs here, on every core
+        paths = ["a.pgm", "b.pgm", "c.pgm"]
+        assert list(parallel.imap(_worker_cores, paths, jobs=2)) == [parallel.CORES, 1, 1]
 
     def test_workers_share_the_parents_spectra(
         self, benchmark_dataset, benchmark_gallery, default_config, monkeypatch
     ):
-        # each call builds the kernel spectra here, before its pool forks
+        # each call's first image builds the kernel spectra here, before its
+        # pool forks
         monkeypatch.setattr(parallel, "AFFINITY", 2)
         monkeypatch.setattr(pipeline, "_extract_all", _extract_all_building_no_spectra)
         gallery_records, probe_records = map(pipeline.load_manifest, benchmark_dataset)
@@ -300,12 +325,13 @@ def _worker_cores(path):
 
 
 _EXTRACT_ALL = pipeline._extract_all
+_TEST_PID = os.getpid()
 
 
 def _extract_all_building_no_spectra(path, configs, keypoints_dir):
     misses = gabor.kernel_spectra.cache_info().misses
     features = _EXTRACT_ALL(path, configs, keypoints_dir)
-    if gabor.kernel_spectra.cache_info().misses != misses:
+    if os.getpid() != _TEST_PID and gabor.kernel_spectra.cache_info().misses != misses:
         raise AssertionError(f"{path}: a worker built kernel spectra")
     return features
 
