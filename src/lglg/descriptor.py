@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spd
 from .config import MODE_KEYPOINT, RunConfig
@@ -27,26 +28,9 @@ from .parallel import split
 from .preprocess import preprocess_chain
 
 #: Blocks per stacked Gaussian/embedding pass of one thread in
-#: :func:`block_features`; bounds each thread's (blocks, d, pixels)
-#: temporaries (1.8 MB at d=32, 15x15 blocks).
+#: :func:`block_features`; bounds each thread's one (blocks, d, pixels)
+#: temporary (1.8 MB at d=32, 15x15 blocks).
 BLOCK_CHUNK = 32
-
-
-@dataclass(frozen=True)
-class BlockGrid:
-    block_size: int
-    rows: int
-    cols: int
-    row0: int
-    col0: int
-
-    def rects(self) -> list[tuple[int, int]]:
-        """Top-left corners in row-major order."""
-        return [
-            (self.row0 + i * self.block_size, self.col0 + j * self.block_size)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        ]
 
 
 @dataclass(frozen=True)
@@ -57,21 +41,16 @@ class GaussianDescriptor:
     cov: np.ndarray
 
 
-def partition_blocks(image_shape: tuple[int, int], block_size: int) -> BlockGrid:
-    """Largest centred grid of non-overlapping square blocks; leftover margins
-    are split evenly (floor on top/left) and discarded."""
+def partition_blocks(image_shape: tuple[int, int], block_size: int) -> list[tuple[int, int]]:
+    """Largest centred grid of non-overlapping square blocks, as (top, left)
+    corners in row-major order; leftover margins are split evenly (floor on
+    top/left) and discarded."""
     h, w = image_shape
     if block_size > min(h, w):
         raise BlockTooLarge(f"block {block_size} does not fit in image {image_shape}")
-    rows = h // block_size
-    cols = w // block_size
-    return BlockGrid(
-        block_size=block_size,
-        rows=rows,
-        cols=cols,
-        row0=(h - rows * block_size) // 2,
-        col0=(w - cols * block_size) // 2,
-    )
+    tops = range(h % block_size // 2, h - block_size + 1, block_size)
+    lefts = range(w % block_size // 2, w - block_size + 1, block_size)
+    return [(top, left) for top in tops for left in lefts]
 
 
 def keypoint_blocks(
@@ -101,6 +80,7 @@ def _check_samples(pixels: int) -> None:
 
 
 def _gaussian(block_stack: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centres ``block_stack``, a float64 array the caller owns, in place."""
     *lead, d, bh, bw = block_stack.shape
     n = bh * bw
     samples = block_stack.reshape(*lead, d, n)
@@ -109,8 +89,8 @@ def _gaussian(block_stack: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, 
         mu = samples.mean(axis=-1)
     if not np.isfinite(mu).all():
         raise NonFinite("block samples hold NaN or Inf")
-    centered = samples - mu[..., None]
-    cov = centered @ np.swapaxes(centered, -1, -2) / n
+    samples -= mu[..., None]
+    cov = samples @ np.swapaxes(samples, -1, -2) / n
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     ridge = ridge_scale * np.trace(cov, axis1=-2, axis2=-1) / d
     return mu, cov + ridge[..., None, None] * np.eye(d)
@@ -126,7 +106,7 @@ def estimate_gaussian(block_stack: np.ndarray, ridge_scale: float = 1e-4) -> Gau
     """
     bh, bw = block_stack.shape[-2:]
     _check_samples(bh * bw)
-    return GaussianDescriptor(*_gaussian(block_stack, ridge_scale))
+    return GaussianDescriptor(*_gaussian(np.array(block_stack, dtype=np.float64), ridge_scale))
 
 
 def _embed(mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -173,9 +153,10 @@ def block_features(
 
     The block list is split across cores once (:func:`lglg.parallel.split`),
     unless the planes hold fewer than ``MIN_SPLIT_PIXELS`` pixels, the gate
-    :func:`lglg.gabor.decompose` splits at too. Each thread stacks its
-    blocks ``BLOCK_CHUNK`` at a time, estimates and embeds each stack and
-    writes its rows into the feature. The result
+    :func:`lglg.gabor.decompose` splits at too. Each thread gathers its
+    blocks ``BLOCK_CHUNK`` at a time with one indexed copy from a
+    sliding-window view of the planes as float64, estimates and embeds each
+    stack and writes its rows into the feature. The result
     equals concatenating ``block_feature(estimate_gaussian(block))`` over
     the blocks, bit for bit.
     """
@@ -186,10 +167,13 @@ def block_features(
             raise KeypointError("keypoint mode requires a keypoint list")
         rects = keypoint_blocks(shape, keypoints, bs)
     else:
-        rects = partition_blocks(shape, bs).rects()
+        rects = partition_blocks(shape, bs)
     _check_samples(bs * bs)
     d = planes.shape[0]
     rows = np.empty((len(rects), (d + 1) * (d + 2) // 2))
+    # (top, left, d, bs, bs): the window at each corner, a view of float64 planes
+    windows = sliding_window_view(np.asarray(planes, dtype=np.float64), (bs, bs), axis=(1, 2))
+    windows = np.moveaxis(windows, 0, 2)
 
     def fill(lo: int, hi: int) -> None:
         # helper threads run this: only private kernels, which the traced
@@ -197,8 +181,8 @@ def block_features(
         # the caller
         for i in range(lo, hi, BLOCK_CHUNK):
             j = min(i + BLOCK_CHUNK, hi)
-            blocks = np.stack([planes[:, top : top + bs, left : left + bs] for top, left in rects[i:j]])
-            rows[i:j] = _embed(*_gaussian(blocks, config.ridge_scale))
+            tops, lefts = zip(*rects[i:j])
+            rows[i:j] = _embed(*_gaussian(windows[tops, lefts], config.ridge_scale))
 
     split(fill, len(rects), shape[0] * shape[1])
     return rows.ravel()

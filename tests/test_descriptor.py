@@ -34,24 +34,24 @@ from lglg.preprocess import preprocess_chain
 
 class TestPartitionBlocks:
     def test_128_by_15(self):
-        grid = partition_blocks((128, 128), 15)
-        assert (grid.rows, grid.cols) == (8, 8)
-        assert (grid.row0, grid.col0) == (4, 4)
-        assert len(grid.rects()) == 64
+        rects = partition_blocks((128, 128), 15)
+        assert len(rects) == 64
+        assert rects[0] == (4, 4) and rects[-1] == (109, 109)
 
     def test_exact_fit(self):
-        grid = partition_blocks((13, 13), 13)
-        assert (grid.rows, grid.cols, grid.row0, grid.col0) == (1, 1, 0, 0)
+        assert partition_blocks((13, 13), 13) == [(0, 0)]
 
     def test_block_too_large(self):
         with pytest.raises(BlockTooLarge):
             partition_blocks((10, 40), 13)
 
     def test_blocks_inside_image(self):
-        grid = partition_blocks((61, 47), 13)
-        for top, left in grid.rects():
+        rects = partition_blocks((61, 47), 13)
+        for top, left in rects:
             assert 0 <= top and top + 13 <= 61
             assert 0 <= left and left + 13 <= 47
+        # 4 rows x 3 columns, row-major, margins 9 and 8 split floor-first
+        assert rects == [(top, left) for top in (4, 17, 30, 43) for left in (4, 17, 30)]
 
 
 class TestKeypointBlocks:
@@ -398,7 +398,7 @@ class TestBlockBytesAcrossSplitsAndBlasThreads:
             points = [(float(x), float(y)) for x, y in rng.uniform(-5.0, 69.0, (n_blocks, 2))]
             rects = keypoint_blocks((64, 64), points, block_size)
         else:
-            rects = partition_blocks((64, 64), block_size).rects()
+            rects = partition_blocks((64, 64), block_size)
         assert len(rects) == n_blocks
         set_ = parallel._OPENBLAS
         features = set()
@@ -500,7 +500,7 @@ def per_block_feature(image, cfg, keypoints=None):
     planes = decompose(pre, build_bank(cfg.gabor_params()))
     bs = cfg.block_size
     if keypoints is None:
-        rects = partition_blocks(image.shape, bs).rects()
+        rects = partition_blocks(image.shape, bs)
     else:
         rects = keypoint_blocks(image.shape, keypoints, bs)
     blocks = [planes[:, top : top + bs, left : left + bs] for top, left in rects]
@@ -527,7 +527,7 @@ class TestStackedBitwise:
     def test_grid_more_blocks_than_one_chunk(self, rng):
         cfg = RunConfig(directions=3, scales=2, block_size=7)
         image = rng.uniform(0.0, 1.0, (80, 72))
-        assert len(partition_blocks(image.shape, 7).rects()) > descriptor.BLOCK_CHUNK
+        assert len(partition_blocks(image.shape, 7)) > descriptor.BLOCK_CHUNK
         assert np.array_equal(image_feature(image, cfg), per_block_feature(image, cfg))
 
     def test_keypoints_overlapping_and_clamped(self, rng):
@@ -539,6 +539,19 @@ class TestStackedBitwise:
         assert np.array_equal(feat, per_block_feature(image, cfg, points))
         rects = keypoint_blocks(image.shape, points, 22)
         assert rects[2] == (0, 0) and rects[3] == (42, 42) and rects[4] == (42, 0)
+
+    def test_inputs_keep_their_bytes(self, rng):
+        # the Gaussian centres its samples in place, so it must own them
+        for stack in (rng.uniform(0.0, 1.0, (3, 6, 5, 5)), rng.integers(0, 256, (3, 6, 5, 5), dtype=np.uint8)):
+            before = stack.tobytes()
+            estimate_gaussian(stack)
+            estimate_gaussian(stack[1])
+            assert stack.tobytes() == before
+        for planes in (rng.uniform(0.0, 1.0, (6, 20, 20)), rng.integers(0, 256, (6, 20, 20), dtype=np.uint8)):
+            before = planes.tobytes()
+            block_features(planes, RunConfig(block_size=5))
+            block_features(planes, RunConfig(mode="keypoint", block_size=5), [(3.0, 4.0), (3.0, 4.0), (19.0, 0.0)])
+            assert planes.tobytes() == before
 
     def test_stack_too_few_samples(self, rng):
         with pytest.raises(TooFewSamples):
