@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import itertools
 import sys
+from contextlib import nullcontext
 
 from . import pipeline
 from .config import MODE_KEYPOINT, RunConfig
@@ -22,6 +24,15 @@ def _check_keypoints_dir(configs: list[RunConfig], keypoints_dir: str | None) ->
     """A usage error, so reported before any manifest or image is read."""
     if keypoints_dir is None and any(c.mode == MODE_KEYPOINT for c in configs):
         raise ConfigError("keypoint mode requires --keypoints-dir")
+
+
+def _write_csv(out: str | None, rows: list[list[str]]) -> None:
+    """``rows``, header first, as CSV lines to the file ``out`` or to stdout."""
+    # csv.writer leaves a lone "\r" unquoted when lines end in "\n" (Python 3.11)
+    quoting = csv.QUOTE_ALL if any("\r" in f for row in rows for f in row) else csv.QUOTE_MINIMAL
+    sink = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
+    with sink as fh:
+        csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:
@@ -43,15 +54,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
     result = pipeline.identify(
         gallery, args.image, gallery.config, keypoints_dir=args.keypoints_dir
     )
-    lines = ["rank,subject_id,distance"]
-    for rank, (subject, dist) in enumerate(result.ranking[: args.top], start=1):
-        lines.append(f"{rank},{subject},{dist:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    ranking = enumerate(result.ranking[: args.top], start=1)
+    _write_csv(args.out, [["rank", "subject_id", "distance"]]
+               + [[str(rank), subject, f"{dist:.6f}"] for rank, (subject, dist) in ranking])
     return 0
 
 
@@ -63,11 +68,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = pipeline.evaluate(
         gallery, records, gallery.config, keypoints_dir=args.keypoints_dir, jobs=args.jobs
     )
-    lines = ["subset,n_probes,rank1,rank5"]
-    for subset, n, rank1, rank5 in rows:
-        lines.append(f"{subset},{n},{rank1:.4f},{rank5:.4f}")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, [["subset", "n_probes", "rank1", "rank5"]]
+               + [[subset, str(n), f"{r1:.4f}", f"{r5:.4f}"] for subset, n, r1, r5 in rows])
     return 0
 
 
@@ -91,11 +93,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     accuracies = pipeline.sweep(
         gallery_records, probe_records, configs, keypoints_dir=args.keypoints_dir, jobs=args.jobs
     )
-    lines = [",".join(keys + ["acc"])]
-    for combo, acc in zip(combos, accuracies):
-        lines.append(",".join([str(v) for v in combo] + [f"{acc:.4f}"]))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [[*map(str, combo), f"{acc:.4f}"] for combo, acc in zip(combos, accuracies)]
+    _write_csv(args.out, [keys + ["acc"], *rows])
     return 0
 
 

@@ -94,6 +94,8 @@ def load_manifest(path: str) -> list[ManifestRecord]:
         if len(row) != 3:
             raise ManifestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         rec = ManifestRecord(path=row[0].strip(), subject_id=row[1].strip(), subset=row[2].strip())
+        if not rec.path:
+            raise ManifestError(f"{path}:{lineno}: empty path")
         if not rec.subject_id:
             raise ManifestError(f"{path}:{lineno}: empty subject_id")
         if rec.path in seen:

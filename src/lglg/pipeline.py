@@ -184,6 +184,24 @@ def rank_accuracy(results: list[MatchResult], r: int) -> float:
     return sum((res.correct_rank or r + 1) <= r for res in results) / len(results)
 
 
+def _rank_probes(
+    records: list[ManifestRecord], configs: list[RunConfig], galleries: list[list[Gallery]],
+    keypoints_dir: str | None, jobs: int | None,
+) -> list[list[list[MatchResult]]]:
+    """:func:`rank` every gallery of ``galleries[j]`` against each probe's
+    feature under ``configs[j]`` as it arrives, in probe order, the probes
+    extracted as in :func:`enroll`. Results are nested as ``galleries``."""
+    results: list[list[list[MatchResult]]] = [[[] for _ in group] for group in galleries]
+    paths = [r.path for r in records]
+    extracted = parallel.imap(_extract_all, paths, configs, keypoints_dir, jobs=jobs)
+    with contextlib.closing(extracted):
+        for rec, features in zip(records, extracted):
+            for feature, group, group_results in zip(features, galleries, results):
+                for gallery, gallery_results in zip(group, group_results):
+                    gallery_results.append(rank(gallery, feature, rec.path, rec.subject_id))
+    return results
+
+
 def evaluate(
     gallery: Gallery,
     records: list[ManifestRecord],
@@ -200,13 +218,10 @@ def evaluate(
     if not records:
         raise ManifestError("evaluate needs at least one probe record")
     _check_config(gallery, config)
+    [[results]] = _rank_probes(records, [config], [[gallery]], keypoints_dir, jobs)
     by_subset: dict[str, list[MatchResult]] = {}
-    paths = [r.path for r in records]
-    extracted = parallel.imap(_extract_all, paths, [config], keypoints_dir, jobs=jobs)
-    with contextlib.closing(extracted):
-        for rec, [feature] in zip(records, extracted):
-            res = rank(gallery, feature, rec.path, rec.subject_id)
-            by_subset.setdefault(rec.subset, []).append(res)
+    for rec, res in zip(records, results):
+        by_subset.setdefault(rec.subset, []).append(res)
     return [
         (subset, len(results), rank_accuracy(results, 1), rank_accuracy(results, 5))
         for subset, results in by_subset.items()
@@ -226,10 +241,9 @@ def sweep(
     Configs with the same preprocess and Gabor settings form one group, and
     each image is preprocessed and decomposed once per group. Within it,
     configs with the same feature fingerprint (they differ only in
-    ``k_requested``) share one feature of each image. The gallery is
-    extracted as in :func:`enroll`, in ``jobs`` worker processes, and
-    fitted once per row; then each probe is extracted in this process and
-    ranked against every gallery of the group."""
+    ``k_requested``) share one feature of each image. Gallery and probes
+    are extracted as in :func:`enroll`, in ``jobs`` worker processes; each
+    row's gallery is fitted once, and each probe ranked against it."""
     _check_gallery_size(gallery_records)
     if not probe_records:
         raise ManifestError("sweep needs at least one probe record")
@@ -244,18 +258,13 @@ def sweep(
         row_sets = list(group.values())
         feature_configs = [configs[rows[0]] for rows in row_sets]
         matrices = _feature_matrices(gallery_paths, feature_configs, keypoints_dir, jobs)
-        galleries = {
-            i: enroll(gallery_records, configs[i], keypoints_dir, features=feats)
+        galleries = [
+            [enroll(gallery_records, configs[i], keypoints_dir, features=feats) for i in rows]
             for rows, feats in zip(row_sets, matrices)
-            for i in rows
-        }
+        ]
         del matrices  # the probe loop needs only the fitted galleries
-        results: dict[int, list[MatchResult]] = {i: [] for i in galleries}
-        for rec in probe_records:
-            features = _extract_all(rec.path, feature_configs, keypoints_dir)
-            for feature, rows in zip(features, row_sets):
-                for i in rows:
-                    results[i].append(rank(galleries[i], feature, rec.path, rec.subject_id))
-        for i, row_results in results.items():
-            accuracies[i] = rank_accuracy(row_results, 1)
+        results = _rank_probes(probe_records, feature_configs, galleries, keypoints_dir, jobs)
+        for rows, group_results in zip(row_sets, results):
+            for i, row_results in zip(rows, group_results):
+                accuracies[i] = rank_accuracy(row_results, 1)
     return accuracies

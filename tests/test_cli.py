@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import struct
@@ -353,6 +354,62 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+class TestCsvFields:
+    """Result tables are CSV: fields holding a comma, a quote or a line break
+    read back as they were, and plain fields are written as they are."""
+
+    SUBJECTS = ['class00,x"y', "class01\nz", "cl\rass02", "class03"]
+    SUBSET = 'noisy,"set"'
+
+    @staticmethod
+    def read(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    @pytest.fixture(scope="class")
+    def relabeled(self, tmp_path_factory):
+        """(gallery manifest, probe manifest) with the odd subject ids and subset."""
+        root = tmp_path_factory.mktemp("csv_fields")
+        manifests = write_benchmark(root, n_classes=4, probes_per_class=1, seed=1)
+        for manifest in manifests:
+            rows = [[r.path, self.SUBJECTS[int(r.subject_id[5:])],
+                     self.SUBSET if r.subset == "noisy" else r.subset]
+                    for r in load_manifest(manifest)]
+            with open(manifest, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([["path", "subject_id", "subset"], *rows])
+        return manifests
+
+    def test_outputs_read_back_field_for_field(self, relabeled, config_file, tmp_path):
+        gallery_manifest, probe_manifest = relabeled
+        model, ranking, table = (str(tmp_path / n) for n in ("m.bin", "id.csv", "eval.csv"))
+        assert main(["enroll", "--config", config_file, "--manifest", gallery_manifest,
+                     "--out", model]) == 0
+        probe = load_manifest(probe_manifest)[0]
+        assert main(["identify", "--model", model, "--image", probe.path, "--top", "4",
+                     "--out", ranking]) == 0
+        rows = self.read(ranking)
+        assert rows[0] == ["rank", "subject_id", "distance"]
+        assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4"]
+        assert sorted(r[1] for r in rows[1:]) == sorted(self.SUBJECTS)
+        assert rows[1][1] == probe.subject_id
+        assert main(["evaluate", "--model", model, "--manifest", probe_manifest,
+                     "--out", table]) == 0
+        rows = self.read(table)
+        assert rows[0] == ["subset", "n_probes", "rank1", "rank5"]
+        assert [r[:2] for r in rows[1:]] == [[self.SUBSET, "4"]]
+
+    def test_plain_fields_are_not_quoted(self, relabeled, config_file, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("block_size=11,15\nsigma_pi=1.2\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", config_file, "--grid", str(grid),
+                     "--gallery-manifest", relabeled[0], "--probe-manifest", relabeled[1],
+                     "--out", str(out)]) == 0
+        rows = self.read(out)
+        assert [r[:2] for r in rows] == [["block_size", "sigma_pi"], ["11", "1.2"], ["15", "1.2"]]
+        assert out.read_text(encoding="utf-8") == "".join(",".join(r) + "\n" for r in rows)
+
+
 class TestUsageErrors:
     """Usage errors exit 2 with one stderr line, before any image is read."""
 
@@ -563,12 +620,13 @@ class TestSweepSharesExtraction:
         got, grid = self.run_sweep(sweep_dataset, str(config), tmp_path,
                                    "block_size=11,21\nridge_scale=0.0001,0.1\n", jobs,
                                    keypoints_dir=str(keypoints))
-        # pool workers decompose the gallery, but its first image, out of
-        # this process's sight
-        gallery, probes = (len(load_manifest(m)) for m in sweep_dataset)
-        pooled = min(jobs, gallery - 1, parallel.AFFINITY) > 1
+        # pool workers decompose the gallery and the probes, but the first
+        # image of each, out of this process's sight
+        def in_process(n):
+            return 1 if min(jobs, n - 1, parallel.AFFINITY) > 1 else n
+
         assert set(decompose_calls.values()) == {1}
-        assert len(decompose_calls) == probes + (1 if pooled else gallery)
+        assert len(decompose_calls) == sum(in_process(len(load_manifest(m))) for m in sweep_dataset)
         assert got == reference_sweep_csv(str(config), grid, *sweep_dataset, str(keypoints))
 
     def test_identify_twice_decomposes_twice(self, sweep_dataset, decompose_calls):

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -67,6 +68,12 @@ class TestManifest:
         p = tmp_path / "m.csv"
         p.write_text("path,subject_id,subset\na.pgm,,fb\n")
         with pytest.raises(ManifestError):
+            load_manifest(str(p))
+
+    def test_empty_path(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("path,subject_id,subset\na.pgm,s1,fb\n ,s2,fb\n")
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}:3: empty path$"):
             load_manifest(str(p))
 
 
@@ -166,7 +173,7 @@ class TestJobsClamp:
         extracted.close()
         assert calls == ["a"] and recorded == []
 
-    @pytest.mark.parametrize("command", ["enroll", "evaluate", "sweep"])
+    @pytest.mark.parametrize("command", ["enroll", "evaluate", "sweep", "sweep-probe"])
     def test_missing_first_image_raises_before_a_pool(
         self, recorded, benchmark_dataset, benchmark_gallery, default_config, command
     ):
@@ -178,11 +185,15 @@ class TestJobsClamp:
             elif command == "evaluate":
                 pipeline.evaluate(benchmark_gallery, [missing, *probe_records[:4]], default_config,
                                   jobs=2)
-            else:
+            elif command == "sweep":
                 pipeline.sweep([missing, *gallery_records], probe_records[:2], [default_config],
                                jobs=2)
+            else:
+                pipeline.sweep(gallery_records, [missing, *probe_records[:4]], [default_config],
+                               jobs=2)
         assert isinstance(exc.value.cause, OSError)
-        assert recorded == []
+        # a missing first probe stops the sweep after its gallery's pool
+        assert recorded == ([2] if command == "sweep-probe" else [])
 
     def test_one_core_in_affinity_starts_no_pool(self, recorded, monkeypatch):
         monkeypatch.setattr(parallel, "AFFINITY", 1)
@@ -223,14 +234,21 @@ class TestPool:
             pipeline.enroll(records, default_config, jobs=2)
         assert isinstance(exc.value.cause, OSError)
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_worker_error_names_the_first_bad_probe(
-        self, benchmark_gallery, benchmark_dataset, default_config
+        self, benchmark_gallery, benchmark_dataset, default_config, command
     ):
+        # the second probe is missing; with two cores a worker reads it
         records = pipeline.load_manifest(benchmark_dataset[1])[:4]
         records.insert(1, pipeline.ManifestRecord("nonexistent_p.pgm", "s9", "noisy"))
         records.append(pipeline.ManifestRecord("nonexistent_q.pgm", "s9", "noisy"))
         with pytest.raises(ExtractionError, match="nonexistent_p.pgm") as exc:
-            pipeline.evaluate(benchmark_gallery, records, default_config, jobs=2)
+            if command == "evaluate":
+                pipeline.evaluate(benchmark_gallery, records, default_config, jobs=2)
+            else:
+                gallery_records = pipeline.load_manifest(benchmark_dataset[0])
+                config = dataclasses.replace(default_config, k_requested=5)
+                pipeline.sweep(gallery_records, records, [config], jobs=2)
         assert isinstance(exc.value.cause, OSError)
 
     def test_pool_forks_under_a_spawn_default(self, benchmark_dataset, tmp_path):
@@ -294,7 +312,7 @@ class TestPool:
         for call in (
             lambda: pipeline.enroll(gallery_records, config, jobs=2),
             lambda: pipeline.evaluate(benchmark_gallery, probe_records[:4], default_config, jobs=2),
-            lambda: pipeline.sweep(gallery_records, probe_records[:2], [config], jobs=2),
+            lambda: pipeline.sweep(gallery_records, probe_records[:4], [config], jobs=2),
         ):
             gabor.kernel_spectra.cache_clear()
             call()
