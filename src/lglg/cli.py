@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import math
 import sys
 from contextlib import nullcontext
 
@@ -18,6 +19,12 @@ from .parallel import check_jobs
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+
+#: Most rows a sweep grid may give. Each row fits a model and ranks every
+#: probe (about 0.2 s a row on the 64x64 benchmark), so a larger grid is a
+#: mistake, and its configs alone take about 300 bytes a row: gigabytes
+#: from 10**7 rows.
+MAX_GRID_ROWS = 10_000
 
 
 def _check_keypoints_dir(configs: list[RunConfig], keypoints_dir: str | None) -> None:
@@ -78,6 +85,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
     grid = parse_grid_file(args.grid)
     keys = [k for k, _ in grid]
+    n_rows = math.prod(len(vs) for _, vs in grid)
+    if n_rows > MAX_GRID_ROWS:
+        raise ConfigError(f"grid gives {n_rows} rows, more than {MAX_GRID_ROWS}")
     combos = list(itertools.product(*[vs for _, vs in grid])) if grid else [()]
     configs = [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
     counts = sorted({c.keypoint_count for c in configs if c.mode == MODE_KEYPOINT})

@@ -151,12 +151,10 @@ def block_features(
     """Per-block Gaussian embeddings of a subband stack, concatenated in
     block order.
 
-    The block list is split across cores once (:func:`lglg.parallel.split`),
-    unless the planes hold fewer than ``MIN_SPLIT_PIXELS`` pixels, the gate
-    :func:`lglg.gabor.decompose` splits at too. Each thread gathers its
-    blocks ``BLOCK_CHUNK`` at a time with one indexed copy from a
-    sliding-window view of the planes as float64, estimates and embeds each
-    stack and writes its rows into the feature. The result
+    The block list is split across cores once (:func:`lglg.parallel.split`).
+    Each thread gathers its blocks ``BLOCK_CHUNK`` at a time with one indexed
+    copy from a sliding-window view of the planes as float64, estimates and
+    embeds each stack and writes its rows into the feature. The result
     equals concatenating ``block_feature(estimate_gaussian(block))`` over
     the blocks, bit for bit.
     """
@@ -184,7 +182,7 @@ def block_features(
             tops, lefts = zip(*rects[i:j])
             rows[i:j] = _embed(*_gaussian(windows[tops, lefts], config.ridge_scale))
 
-    split(fill, len(rects), shape[0] * shape[1])
+    split(fill, len(rects))
     return rows.ravel()
 
 

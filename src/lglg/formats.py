@@ -83,25 +83,31 @@ def load_manifest(path: str) -> list[ManifestRecord]:
     records: list[ManifestRecord] = []
     seen: set[str] = set()
     reader = csv.reader(io.StringIO(read_text(path, ManifestError), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ManifestError(f"{path}: empty manifest")
-    if [h.strip() for h in header] != MANIFEST_HEADER:
-        raise ManifestError(f"{path}: header must be {','.join(MANIFEST_HEADER)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ManifestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        rec = ManifestRecord(path=row[0].strip(), subject_id=row[1].strip(), subset=row[2].strip())
-        if not rec.path:
-            raise ManifestError(f"{path}:{lineno}: empty path")
-        if not rec.subject_id:
-            raise ManifestError(f"{path}:{lineno}: empty subject_id")
-        if rec.path in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate path {rec.path}")
-        seen.add(rec.path)
-        records.append(rec)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ManifestError(f"{path}: empty manifest")
+        if [h.strip() for h in header] != MANIFEST_HEADER:
+            raise ManifestError(f"{path}: header must be {','.join(MANIFEST_HEADER)}")
+        for row in reader:
+            lineno = reader.line_num  # where the row ends: a quoted field may hold line breaks
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ManifestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            rec = ManifestRecord(*(field.strip() for field in row))
+            if not rec.path:
+                raise ManifestError(f"{path}:{lineno}: empty path")
+            if "\0" in rec.path:
+                raise ManifestError(f"{path}:{lineno}: path holds a NUL byte")
+            if not rec.subject_id:
+                raise ManifestError(f"{path}:{lineno}: empty subject_id")
+            if rec.path in seen:
+                raise ManifestError(f"{path}:{lineno}: duplicate path {rec.path}")
+            seen.add(rec.path)
+            records.append(rec)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ManifestError(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 

@@ -237,9 +237,9 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
     plane stays bitwise equal to two such convolutions.
-    The planes are split across cores (:func:`lglg.parallel.split`) unless
-    they hold fewer than ``MIN_SPLIT_PIXELS`` pixels; each is computed whole
-    by one thread, so the stack does not depend on the split.
+    The planes are split across cores (:func:`lglg.parallel.split`); each
+    is computed whole by one thread, so the stack does not depend on the
+    split.
     """
     image = np.asarray(image, dtype=np.float64)
     wl = bank[0].real.shape[0]
@@ -288,5 +288,5 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
                 inverse(spectrum * parts[2 * p + i : 2 * p + j], out[i:j])
             np.hypot(out[0:n:2], out[1:n:2], out=planes[p : p + n // 2])
 
-    split(filter_planes, len(bank), h * w)
+    split(filter_planes, len(bank))
     return planes

@@ -15,12 +15,11 @@ built (the kernel bank, its spectra and numpy's FFT plans) copy-on-write;
 :func:`check_jobs` is the one rule for ``jobs``.
 
 One image's extraction splits its Gabor subbands, and then its block list,
-across the cores of the process's CPU affinity with :func:`split`: one
-split per stage, and none for planes under :data:`MIN_SPLIT_PIXELS`. The
-work is numpy FFT and LAPACK code that releases the interpreter lock, and
-each part writes its own output rows, so the result is bitwise that of
-one thread. Helper threads live for one split only: none is alive when a
-process pool forks.
+across the cores of the process's CPU affinity with :func:`split`, once
+per stage. The work is numpy FFT and LAPACK code that releases the
+interpreter lock, and each part writes its own output rows, so the result
+is bitwise that of one thread. Helper threads live for one split only:
+none is alive when a process pool forks.
 """
 
 from __future__ import annotations
@@ -69,14 +68,6 @@ AFFINITY = len(os.sched_getaffinity(0))
 #: cannot be set to one thread.
 CORES = AFFINITY if _OPENBLAS is not None else 1
 
-#: Fewest pixels per plane at which :func:`split` splits an image's Gabor
-#: planes or block list across cores. Per-call overhead bounds the split:
-#: single numpy calls at 64x64 ran at 1.4-1.9x one thread's throughput on
-#: two. The plane split pays from 52x52 (13-17 % faster; 64x64 about
-#: 20 %), and at 48x48 and below it ranged from 9 % faster to 10 % slower
-#: (2-vCPU VM).
-MIN_SPLIT_PIXELS = 52 * 52
-
 
 def check_jobs(jobs: int | None) -> None:
     """Raise :class:`ConfigError` unless ``jobs`` is None or at least 1."""
@@ -118,14 +109,13 @@ def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator
         yield from pool.map(fn, items[1:], *map(repeat, args))
 
 
-def split(fn: Callable[[int, int], T], n: int, pixels: int) -> list[T]:
+def split(fn: Callable[[int, int], T], n: int) -> list[T]:
     """``[fn(lo, hi), ...]`` over contiguous ranges that cover ``range(n)``,
-    in order, for work on planes of ``pixels`` pixels: one range per core,
-    or one range, run here, when ``pixels < MIN_SPLIT_PIXELS``. The calling
+    in order: one range per core, and at most one per item. The calling
     thread runs the first range and helper threads the rest; they are
     joined before this returns, and the first range's exception, in range
     order, is raised."""
-    parts = max(1, min(CORES, n)) if pixels >= MIN_SPLIT_PIXELS else 1
+    parts = max(1, min(CORES, n))
     bounds = [n * i // parts for i in range(parts + 1)]
     results: list = [None] * parts
     errors: list[BaseException | None] = [None] * parts

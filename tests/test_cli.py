@@ -1,7 +1,12 @@
 import csv
 import dataclasses
 import itertools
+import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import weakref
 import zlib
 from collections import Counter
@@ -11,7 +16,7 @@ import numpy as np
 import pytest
 
 from lglg import descriptor, parallel, pipeline
-from lglg.cli import main
+from lglg.cli import MAX_GRID_ROWS, main
 from lglg.config import RunConfig
 from lglg.errors import ExtractionError
 from lglg.formats import load_config, parse_grid_file, write_pgm
@@ -323,6 +328,30 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("7,1.2,")
         assert lines[2].startswith("9,1.2,")
+
+    def test_grid_over_max_rows_exits_2_before_building_rows(self, config_file, tmp_path):
+        # 10 keys of 8-10 values: about 3 * 10**9 rows. The child runs under an
+        # address-space limit, so a bound that stopped holding fails here
+        # with a MemoryError instead of taking the machine's memory
+        keys = [f.name for f in dataclasses.fields(RunConfig) if f.type in (int, float)][:10]
+        grid = tmp_path / "grid.txt"
+        grid.write_text("".join(f"{key}={','.join(['1'] * (8 + i % 3))}\n"
+                                for i, key in enumerate(keys)))
+        argv = ["sweep", "--config", config_file, "--grid", str(grid), "--gallery-manifest",
+                "none.csv", "--probe-manifest", "none.csv", "--out", str(tmp_path / "never.csv")]
+        code = f"import sys; from lglg.cli import main; sys.exit(main({argv!r}))"
+        limit = 1_500_000_000
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, preexec_fn=limit_memory,
+                             env={**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])})
+        rows = math.prod(8 + i % 3 for i in range(10))
+        assert (run.returncode, run.stderr) == (
+            2, f"error: config: grid gives {rows} rows, more than {MAX_GRID_ROWS}\n")
+        assert not (tmp_path / "never.csv").exists()
 
     def test_empty_grid_single_row(self, small_dataset, config_file, tmp_path):
         gallery_manifest, probe_manifest = small_dataset

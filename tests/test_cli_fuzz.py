@@ -16,7 +16,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lglg.cli import main
@@ -125,6 +125,8 @@ def test_sweep_grid(files, capsys, data):
 @FUZZ
 @given(st.one_of(st.binary(max_size=64),
                  st.binary(max_size=64).map(lambda rows: b"path,subject_id,subset\n" + rows)))
+@example(b"path,subject_id,subset\n" + b"a" * 200_000 + b",s1,fb\n")  # over the csv field limit
+@example(b"path,subject_id,subset\nimg\0.pgm,s1,fb\nb.pgm,s2,fb\n")
 def test_enroll_manifest(files, capsys, data):
     path = files["root"] / "fuzz.csv"
     path.write_bytes(data)

@@ -222,12 +222,6 @@ class TestSubbandsChecksFirst:
             image_feature(np.zeros((32, 32)), RunConfig(window_len=301))
 
 
-@pytest.fixture
-def split_everything(monkeypatch):
-    """Every plane loop and block list splits across cores, however small."""
-    monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", 0)
-
-
 def feature_bytes(monkeypatch, cores, image, cfg, points=None):
     """``image_feature``'s bytes with ``cores`` threads per split; no thread
     outlives the call."""
@@ -251,14 +245,28 @@ class TestCoresBitwise:
         assert feature_bytes(monkeypatch, cores, image, cfg) == one
 
     @pytest.mark.parametrize("cores", [2, 3])
-    def test_grid_everything_split(self, rng, monkeypatch, split_everything, cores):
+    def test_grid_everything_split(self, rng, monkeypatch, cores):
+        # planes and blocks split in `cores` parts at 40x40 (25 blocks) as
+        # at 100x100, whatever the plane size
+        parts = []
+
+        def recording(fn, n):
+            out = parallel.split(fn, n)
+            parts.append(len(out))
+            return out
+
+        monkeypatch.setattr(gabor, "split", recording)
+        monkeypatch.setattr(descriptor, "split", recording)
         cfg = RunConfig(block_size=7)
-        image = rng.uniform(0.0, 1.0, (100, 100))
-        one = feature_bytes(monkeypatch, 1, image, cfg)
-        assert feature_bytes(monkeypatch, cores, image, cfg) == one
+        for shape in [(100, 100), (40, 40)]:
+            image = rng.uniform(0.0, 1.0, shape)
+            one = feature_bytes(monkeypatch, 1, image, cfg)
+            parts.clear()
+            assert feature_bytes(monkeypatch, cores, image, cfg) == one, shape
+            assert parts == [cores, cores], shape
 
     @pytest.mark.parametrize("cores", [2, 3])
-    def test_keypoint_mode(self, rng, monkeypatch, split_everything, cores):
+    def test_keypoint_mode(self, rng, monkeypatch, cores):
         cfg = RunConfig(mode="keypoint", block_size=15)
         image = rng.uniform(0.0, 1.0, (64, 64))
         points = [(float(3 * i), float(2 * i + 5)) for i in range(21)]
@@ -266,52 +274,17 @@ class TestCoresBitwise:
         assert feature_bytes(monkeypatch, cores, image, cfg, points) == one
 
     @pytest.mark.parametrize("cores", [2, 4])
-    def test_bank_not_divisible_by_cores(self, rng, monkeypatch, split_everything, cores):
+    def test_bank_not_divisible_by_cores(self, rng, monkeypatch, cores):
         # 15 subbands: 8+7 planes on 2 cores, 3+4+4+4 on 4
         cfg = RunConfig(directions=5, scales=3, block_size=11)
         image = rng.uniform(0.0, 1.0, (64, 64))
         one = feature_bytes(monkeypatch, 1, image, cfg)
         assert feature_bytes(monkeypatch, cores, image, cfg) == one
 
-    @pytest.mark.parametrize("shape, parts", [((51, 52), 1), ((52, 52), 2)])
-    def test_both_stages_split_from_min_split_pixels(self, rng, monkeypatch, shape, parts):
-        # 9 blocks of 15x15: just below the gate neither the planes nor the
-        # blocks split, and at it both do
-        monkeypatch.setattr(parallel, "CORES", 2)
-        seen = []
-
-        def recording(fn, n, pixels):
-            out = parallel.split(fn, n, pixels)
-            seen.append(len(out))
-            return out
-
-        monkeypatch.setattr(gabor, "split", recording)
-        monkeypatch.setattr(descriptor, "split", recording)
-        image_feature(rng.uniform(0.0, 1.0, shape), RunConfig())
-        assert seen == [parts, parts]
-
-    @pytest.mark.parametrize("blocks, parts", [(7, 1), (8, 2), (16, 2), (32, 2), (64, 2)])
-    def test_stack_splits_from_two_parts_of_min_blocks(self, rng, monkeypatch, blocks, parts):
-        # the gate is the pixels of a plane one row of eight 5x5 blocks
-        # wide: the block list splits from there, however many blocks
-        monkeypatch.setattr(parallel, "CORES", 2)
-        monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", 5 * 5 * 8)
-        seen = []
-
-        def recording(fn, n, pixels):
-            out = parallel.split(fn, n, pixels)
-            seen.append(len(out))
-            return out
-
-        monkeypatch.setattr(descriptor, "split", recording)
-        planes = rng.uniform(0.0, 1.0, (4, 5, 5 * blocks))  # one row of 5x5 blocks
-        block_features(planes, RunConfig(block_size=5))
-        assert seen == [parts]
-
 
 class TestWrappedNamesOnCallingThread:
     def test_split_extraction_calls_them_from_the_calling_thread_only(
-        self, rng, tmp_path, monkeypatch, split_everything
+        self, rng, tmp_path, monkeypatch
     ):
         # perfbench/layers.py wraps these names and keeps one span stack for
         # all threads, so a helper thread must never call one of them
@@ -360,7 +333,7 @@ class TestBlasHeldDuringSplitExtraction:
         yield seen
         assert blas_threads() == 1
 
-    def test_split_extraction_runs_one_blas_thread(self, rng, blas, split_everything):
+    def test_split_extraction_runs_one_blas_thread(self, rng, blas):
         image = rng.uniform(0.0, 1.0, (64, 64))
         image_feature(image, RunConfig())
         assert blas == [1, 1]  # two parts of 8 blocks

@@ -195,38 +195,20 @@ class TestNextFastLen:
 class TestDecomposeCores:
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_split_equals_one_thread(self, rng, monkeypatch, cores):
-        # 128x128 and 64x64 planes split without lowering MIN_SPLIT_PIXELS,
-        # 37x50 (FFT 54x72) only with it lowered; the 15 planes of a 5x3
-        # bank divide by neither 2 nor 4 cores. Each shape runs with one
-        # kernel part per inverse FFT call, then each thread's whole range
-        # in one call
+        # the 15 planes of a 5x3 bank divide by neither 2 nor 4 cores. Each
+        # shape runs with one kernel part per inverse FFT call, then each
+        # thread's whole range in one call
         bank = build_bank(GaborParams(directions=5, scales=3))
-        for shape, min_split in [((128, 128), parallel.MIN_SPLIT_PIXELS),
-                                 ((64, 64), parallel.MIN_SPLIT_PIXELS), ((37, 50), 0)]:
+        for shape in [(128, 128), (64, 64), (37, 50)]:
             image = rng.uniform(0.0, 1.0, shape)
             reference = fftconvolve_reference(image, bank).tobytes()
             for stack_bytes in (0, 2**40):
-                monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", min_split)
                 monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
                 monkeypatch.setattr(parallel, "CORES", 1)
                 one = decompose(image, bank).tobytes()
                 monkeypatch.setattr(parallel, "CORES", cores)
                 split = decompose(image, bank).tobytes()
                 assert split == one and split == reference, (shape, stack_bytes)
-
-    @pytest.mark.parametrize(
-        "shape, split",
-        [((48, 48), False), ((51, 52), False), ((52, 52), True), ((37, 74), True),
-         ((64, 64), True)],
-    )
-    def test_splits_from_min_split_pixels(self, monkeypatch, shape, split):
-        # decompose passes its plane size to split, which gates on it
-        monkeypatch.setattr(parallel, "CORES", 2)
-        parts = []
-        split_ = gabor.split
-        monkeypatch.setattr(gabor, "split", lambda *args: parts.append(len(split_(*args))))
-        decompose(np.zeros(shape), build_bank(GaborParams()))
-        assert parts == ([2] if split else [1])
 
     # one kernel part of a 64x64 image's 80x80 FFT: 80 * 41 complex values
     PART_64 = 80 * 41 * 16

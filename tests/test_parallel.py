@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from lglg import parallel
-from lglg.parallel import MIN_SPLIT_PIXELS, split
+from lglg.parallel import split
 
 
 @pytest.fixture
@@ -32,11 +32,13 @@ class TestAffinity:
 class TestSplit:
     @pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 100])
-    @pytest.mark.parametrize("gate_halves", [1, 3])  # planes of 0.5 and 1.5 times the gate
-    def test_parts_cover_the_range_in_order(self, cores, n_cores, n, gate_halves):
+    @pytest.mark.parametrize("calls", [1, 3])  # repeated calls leave no state behind
+    def test_parts_cover_the_range_in_order(self, cores, n_cores, n, calls):
         cores(n_cores)
-        parts = split(lambda lo, hi: (lo, hi), n, gate_halves * MIN_SPLIT_PIXELS // 2)
-        assert len(parts) == (max(1, min(n_cores, n)) if gate_halves == 3 else 1)
+        runs = [split(lambda lo, hi: (lo, hi), n) for _ in range(calls)]
+        parts = runs[0]
+        assert all(run == parts for run in runs)
+        assert len(parts) == max(1, min(n_cores, n))
         assert parts[0][0] == 0 and parts[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
         if len(parts) > 1:
@@ -45,7 +47,7 @@ class TestSplit:
 
     def test_first_part_runs_on_the_calling_thread(self, cores):
         cores(3)
-        idents = split(lambda lo, hi: threading.get_ident(), 9, MIN_SPLIT_PIXELS)
+        idents = split(lambda lo, hi: threading.get_ident(), 9)
         assert idents[0] == threading.get_ident()
         # idents of finished helpers may be reused, so only compare with ours
         assert threading.get_ident() not in idents[1:]
@@ -63,7 +65,7 @@ class TestSplit:
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match="part at 2"):
-            split(fn, 8, MIN_SPLIT_PIXELS)
+            split(fn, 8)
         assert sorted(done) == [2, 4, 6]
         assert threading.active_count() == threads
 
@@ -82,7 +84,7 @@ class TestSplit:
         try:
             for _ in range(20):
                 out[:] = [0] * 1000
-                assert split(fill, 1000, MIN_SPLIT_PIXELS) == [125] * 8
+                assert split(fill, 1000) == [125] * 8
                 assert out == list(range(1000))
         finally:
             sys.setswitchinterval(interval)
@@ -128,8 +130,8 @@ class TestOneBlasThread:
         def fn(lo, hi):
             seen.append((lo, list(blas_calls)))
 
-        split(fn, 4, MIN_SPLIT_PIXELS)
-        split(fn, 4, MIN_SPLIT_PIXELS)
+        split(fn, 4)
+        split(fn, 4)
         assert sorted(seen) == [(0, []), (0, []), (2, []), (2, [])]
         assert blas_calls == []
         assert threading.active_count() == threads
@@ -139,15 +141,14 @@ class TestOneBlasThread:
         # one part runs on the calling thread and makes no OpenBLAS call
         cores(n_cores)
         seen = []
-        split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 1, MIN_SPLIT_PIXELS)
-        split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 4, MIN_SPLIT_PIXELS - 1)
-        assert seen == [(0, 1, threading.get_ident()), (0, 4, threading.get_ident())]
+        split(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), 1)
+        assert seen == [(0, 1, threading.get_ident())]
         assert blas_calls == []
 
     def test_split_without_openblas_runs_its_parts(self, cores, monkeypatch):
         cores(2)
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
-        assert split(lambda lo, hi: (lo, hi), 4, MIN_SPLIT_PIXELS) == [(0, 2), (2, 4)]
+        assert split(lambda lo, hi: (lo, hi), 4) == [(0, 2), (2, 4)]
 
     def test_restored_when_a_part_raises(self, cores, blas_threads):
         # a caller raised the count after importing lglg: a raising part runs
@@ -161,10 +162,10 @@ class TestOneBlasThread:
                     raise RuntimeError(blas_threads())
 
             with pytest.raises(RuntimeError, match="^2$"):
-                split(fn, 4, MIN_SPLIT_PIXELS)
+                split(fn, 4)
             assert blas_threads() == 2
             with pytest.raises(RuntimeError, match="^2$"):
-                split(fn, 1, MIN_SPLIT_PIXELS)  # one part, on the calling thread
+                split(fn, 1)  # one part, on the calling thread
             assert blas_threads() == 2
         finally:
             set_(1)
@@ -175,9 +176,9 @@ class TestOneBlasThread:
         set_ = parallel._OPENBLAS
         set_(2)
         try:
-            assert split(lambda lo, hi: blas_threads(), 4, MIN_SPLIT_PIXELS) == [2, 2]
+            assert split(lambda lo, hi: blas_threads(), 4) == [2, 2]
             assert blas_threads() == 2
-            assert split(lambda lo, hi: blas_threads(), 1, MIN_SPLIT_PIXELS) == [2]
+            assert split(lambda lo, hi: blas_threads(), 1) == [2]
             assert blas_threads() == 2
         finally:
             set_(1)

@@ -76,6 +76,18 @@ class TestManifest:
         with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}:3: empty path$"):
             load_manifest(str(p))
 
+    @pytest.mark.parametrize("rows, message", [
+        ("a.pgm,s1,fb\n" + "a" * 200_000 + ",s2,fb\n",
+         "3: field larger than field limit (131072)"),
+        ("img\0.pgm,s1,fb\nb.pgm,s2,fb\n", "2: path holds a NUL byte"),
+        ('a.pgm,s1,"x\ny"\na.pgm,s2,fb\n', "4: duplicate path a.pgm"),
+    ], ids=["field_over_csv_limit", "nul_in_path", "line_after_two_line_field"])
+    def test_row_refused(self, tmp_path, rows, message):
+        p = tmp_path / "m.csv"
+        p.write_text("path,subject_id,subset\n" + rows)
+        with pytest.raises(ManifestError, match=f"^{re.escape(f'{p}:{message}')}$"):
+            load_manifest(str(p))
+
 
 class TestPgm:
     def test_round_trip(self, tmp_path, rng):
@@ -293,7 +305,7 @@ class TestPool:
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
         monkeypatch.setattr(parallel, "CORES", 2)
         assert parallel._one_core() is None
-        assert parallel.split(lambda lo, hi: (lo, hi), 10, parallel.MIN_SPLIT_PIXELS) == [(0, 10)]
+        assert parallel.split(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
 
     def test_pool_worker_runs_one_core(self):
         # the first item runs here, on every core
@@ -323,7 +335,6 @@ class TestPool:
         # every plane loop and block list splits, so lglg threads have run
         # in this process before each pool forks
         monkeypatch.setattr(parallel, "CORES", 2)
-        monkeypatch.setattr(parallel, "MIN_SPLIT_PIXELS", 0)
         gallery_records = pipeline.load_manifest(benchmark_dataset[0])
         probe_records = pipeline.load_manifest(benchmark_dataset[1])[:4]
         threads = threading.active_count()
