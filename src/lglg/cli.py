@@ -90,12 +90,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"grid gives {n_rows} rows, more than {MAX_GRID_ROWS}")
     combos = list(itertools.product(*[vs for _, vs in grid])) if grid else [()]
     configs = [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
-    counts = sorted({c.keypoint_count for c in configs if c.mode == MODE_KEYPOINT})
-    if len(counts) > 1:
-        raise ConfigError(
-            f"grid gives keypoint_count {counts} in keypoint mode; every row reads the same "
-            "--keypoints-dir, whose files hold one count, so give keypoint_count one value"
-        )
     _check_keypoints_dir(configs, args.keypoints_dir)
     gallery_records = load_manifest(args.gallery_manifest)
     probe_records = load_manifest(args.probe_manifest)

@@ -36,7 +36,6 @@ class RunConfig:
     contrast_tau: float = 10.0
     mode: str = MODE_GRID
     block_size: int = 15
-    keypoint_count: int = 21
     ridge_scale: float = 1e-4
     k_requested: int = 1196
 
@@ -51,8 +50,6 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be in 0..4294967295, got {value}")
         if self.block_size < 1:
             raise ConfigError("block_size must be positive")
-        if self.keypoint_count < 1:
-            raise ConfigError("keypoint_count must be positive")
         if self.ridge_scale < 0.0:
             raise ConfigError("ridge_scale must be nonnegative")
         if self.k_requested < 2:

@@ -133,8 +133,9 @@ def subbands(image: np.ndarray, config: RunConfig, stacks: dict | None = None) -
     pre_params, gabor_params = key = (config.preprocess_params(), config.gabor_params())
     if stacks is not None and key in stacks:
         return stacks[key]
-    # before the bank is built: a large window_len would allocate it first
-    check_fits(np.shape(image), gabor_params.window_len)
+    # before the image is preprocessed or the bank built, which a large
+    # image or window_len would allocate first
+    check_fits(np.shape(image), gabor_params)
     planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params))
     if stacks is not None:
         for kept in [k for k in stacks if isinstance(k, tuple)]:

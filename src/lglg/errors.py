@@ -25,6 +25,10 @@ class ImageTooSmall(LglgError):
     """Image smaller than the filter support or block size."""
 
 
+class ImageTooLarge(LglgError):
+    """Image whose filtering would take more memory than allowed."""
+
+
 class OutOfRange(LglgError):
     """Pixel values outside the expected range."""
 
@@ -70,7 +74,7 @@ class ManifestError(LglgError):
 
 
 class KeypointError(LglgError):
-    """Malformed or mismatched keypoint sidecar file."""
+    """Malformed or empty keypoint sidecar file."""
 
 
 class ExtractionError(LglgError):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ImageTooSmall, InvalidIndex
+from .errors import ConfigError, ImageTooLarge, ImageTooSmall, InvalidIndex
 from .parallel import split
 
 #: Bytes of kernel-part products that :func:`decompose` sends through one
@@ -35,6 +35,16 @@ STACK_BYTES = 256 * 1024
 #: bin, so these bounds hold them to 4 KB per bin (about 170 MB at 256²).
 MAX_DIRECTIONS = 16
 MAX_SCALES = 8
+
+#: Most bytes that the planes (U*V*H*W*8) and the kernel spectra
+#: (U*V*2*F0*(F1//2 + 1)*16 at :func:`fft_shape`) of one image may take;
+#: :func:`check_fits` refuses a larger image before it is filtered, where
+#: numpy could fail to allocate them with a traceback. Extraction peaks near
+#: 1.1 times these in each process that extracts. 2 GiB admits a 1024x1024 image
+#: under the paper's 8x5 bank (1.08 GB) and any 256x256 one under the
+#: largest bank (0.24 GB at window 9, 1.3 GB at the widest); a 3000x3000 one
+#: under the default bank needs 7.1 GB.
+MAX_FILTER_BYTES = 2**31
 
 #: Widest kernel shapes a config or model file may ask for: ``sigma`` and
 #: ``k_max`` from 1e-3 to 1e3 times pi (the defaults are 1 and 0.5 times
@@ -214,13 +224,21 @@ def _conv_direct(padded: np.ndarray, kernel: np.ndarray, out_shape: tuple[int, i
     return out
 
 
-def check_fits(image_shape: tuple[int, ...], window_len: int) -> None:
+def check_fits(image_shape: tuple[int, ...], params: GaborParams) -> None:
     """Raise :class:`ImageTooSmall` unless a 2-D image of this shape holds
-    the kernel support."""
+    the kernel support, and :class:`ImageTooLarge` if its planes and kernel
+    spectra would take more than ``MAX_FILTER_BYTES``."""
     if len(image_shape) != 2:
         raise ImageTooSmall(f"expected a 2-D image, got shape {image_shape}")
-    if min(image_shape) < window_len:
-        raise ImageTooSmall(f"image {image_shape} smaller than kernel support {window_len}")
+    if min(image_shape) < params.window_len:
+        raise ImageTooSmall(f"image {image_shape} smaller than kernel support {params.window_len}")
+    f0, f1 = fft_shape(image_shape, params.window_len)
+    need = params.num_subbands * (math.prod(image_shape) * 8 + 2 * f0 * (f1 // 2 + 1) * 16)
+    if need > MAX_FILTER_BYTES:
+        raise ImageTooLarge(
+            f"image {image_shape} needs {need} bytes of Gabor planes and kernel spectra, "
+            f"more than {MAX_FILTER_BYTES}"
+        )
 
 
 def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.ndarray:
@@ -243,7 +261,7 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     """
     image = np.asarray(image, dtype=np.float64)
     wl = bank[0].real.shape[0]
-    check_fits(image.shape, wl)
+    check_fits(image.shape, bank.params)
     if method not in ("fft", "direct"):
         raise ConfigError(f"unknown convolution method {method!r}")
 

@@ -50,7 +50,7 @@ def extract_feature(
         if config.mode == MODE_KEYPOINT:
             if keypoints_dir is None:
                 raise ManifestError("keypoint mode requires --keypoints-dir")
-            keypoints = load_keypoints(keypoint_path(path, keypoints_dir), config.keypoint_count)
+            keypoints = load_keypoints(keypoint_path(path, keypoints_dir))
         return image_feature(stacks[path], config, keypoints=keypoints, stacks=stacks)
     except ExtractionError:
         raise
@@ -84,7 +84,7 @@ def _feature_matrices(
                 if feature.size != matrix.shape[1]:
                     raise DimensionMismatch(
                         f"{paths[i]}: feature length {feature.size}, {paths[0]}'s is "
-                        f"{matrix.shape[1]} (gallery images differ in size?)"
+                        f"{matrix.shape[1]} (gallery images differ in size or key-point count?)"
                     )
                 matrix[i] = feature
     return matrices
@@ -140,7 +140,8 @@ def rank(
     if feature.size != gallery.model.input_dim:
         raise DimensionMismatch(
             f"{probe_path}: feature length {feature.size}, the gallery's is "
-            f"{gallery.model.input_dim} (probe and gallery images differ in size?)"
+            f"{gallery.model.input_dim} (probe and gallery images differ in size or "
+            "key-point count?)"
         )
     # a model file may hold finite values whose products overflow
     with np.errstate(over="raise", invalid="raise"):

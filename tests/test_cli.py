@@ -20,6 +20,7 @@ from lglg.cli import MAX_GRID_ROWS, main
 from lglg.config import RunConfig
 from lglg.errors import ExtractionError
 from lglg.formats import load_config, parse_grid_file, write_pgm
+from lglg.gabor import MAX_FILTER_BYTES
 from lglg.pipeline import load_manifest
 from lglg.synthetic import grating, write_benchmark
 
@@ -32,6 +33,19 @@ window_len=9
 block_size=15
 k_requested=64
 """
+
+
+def main_in_child(argv, limit=1_500_000_000):
+    """``lglg.cli.main(argv)`` run in a child process whose address space is
+    limited to ``limit`` bytes: the completed process, its output as text."""
+    code = f"import sys; from lglg.cli import main; sys.exit(main({argv!r}))"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=limit_memory,
+                          env={**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])})
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +127,7 @@ class TestEnroll:
     def test_non_finite_keypoint_exits_3(self, small_dataset, tmp_path, capsys):
         gallery_manifest, _ = small_dataset
         cfg = tmp_path / "kp.cfg"
-        cfg.write_text("mode=keypoint\nblock_size=15\nkeypoint_count=2\nk_requested=4\n")
+        cfg.write_text("mode=keypoint\nblock_size=15\nk_requested=4\n")
         kp_dir = tmp_path / "kp"
         kp_dir.mkdir()
         stems = [Path(rec.path).stem for rec in load_manifest(gallery_manifest)]
@@ -146,7 +160,7 @@ class TestEnroll:
     def test_keypoint_file_not_utf8_exits_3(self, small_dataset, tmp_path, capsys):
         gallery_manifest, _ = small_dataset
         cfg = tmp_path / "kp.cfg"
-        cfg.write_text("mode=keypoint\nblock_size=15\nkeypoint_count=2\nk_requested=4\n")
+        cfg.write_text("mode=keypoint\nblock_size=15\nk_requested=4\n")
         bad = tmp_path / f"{Path(load_manifest(gallery_manifest)[0].path).stem}.txt"
         bad.write_bytes(b"20 20\n40 \xff\n")
         err = self._enroll_one_line(capsys, "--config", str(cfg), "--manifest", gallery_manifest,
@@ -176,6 +190,24 @@ class TestEnroll:
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("error: data:") and err.count("\n") == 1
         assert "smaller than kernel support 301" in err
+
+    def test_image_over_filter_bound_exits_3_before_filtering(self, config_file, tmp_path):
+        # a 3000x3000 image needs 7.1 GB of planes and spectra under the
+        # default bank. The child runs under an address-space limit, so a
+        # bound that stopped holding fails here with a MemoryError instead of
+        # taking the machine's memory
+        rng = np.random.default_rng(0)
+        paths = [str(tmp_path / f"{name}.pgm") for name in ("a", "b")]
+        for path in paths:
+            write_pgm(path, rng.integers(0, 256, (3000, 3000)))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,subject_id,subset\n{paths[0]},a,g\n{paths[1]},b,g\n")
+        run = main_in_child(["enroll", "--config", config_file, "--manifest", str(manifest),
+                             "--out", str(tmp_path / "m.bin"), "--jobs", "1"])
+        assert (run.returncode, run.stderr) == (
+            3, f"error: data: {paths[0]}: image (3000, 3000) needs 7138983936 bytes of Gabor "
+               f"planes and kernel spectra, more than {MAX_FILTER_BYTES}\n")
+        assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize("line", ["directions=17", "scales=9"])
     def test_bank_beyond_bounds_exits_2(self, small_dataset, tmp_path, capsys, line):
@@ -337,17 +369,9 @@ class TestSweep:
         grid = tmp_path / "grid.txt"
         grid.write_text("".join(f"{key}={','.join(['1'] * (8 + i % 3))}\n"
                                 for i, key in enumerate(keys)))
-        argv = ["sweep", "--config", config_file, "--grid", str(grid), "--gallery-manifest",
-                "none.csv", "--probe-manifest", "none.csv", "--out", str(tmp_path / "never.csv")]
-        code = f"import sys; from lglg.cli import main; sys.exit(main({argv!r}))"
-        limit = 1_500_000_000
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=120, preexec_fn=limit_memory,
-                             env={**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])})
+        run = main_in_child(["sweep", "--config", config_file, "--grid", str(grid),
+                             "--gallery-manifest", "none.csv", "--probe-manifest", "none.csv",
+                             "--out", str(tmp_path / "never.csv")])
         rows = math.prod(8 + i % 3 for i in range(10))
         assert (run.returncode, run.stderr) == (
             2, f"error: config: grid gives {rows} rows, more than {MAX_GRID_ROWS}\n")
@@ -445,13 +469,13 @@ class TestUsageErrors:
     @pytest.fixture
     def keypoint_config(self, tmp_path):
         cfg = tmp_path / "kp.cfg"
-        cfg.write_text(CONFIG_TEXT + "mode=keypoint\nkeypoint_count=2\n")
+        cfg.write_text(CONFIG_TEXT + "mode=keypoint\n")
         return str(cfg)
 
     @pytest.fixture
     def keypoint_model(self, model_file, tmp_path):
         gallery = pipeline.load_model(model_file)
-        config = dataclasses.replace(gallery.config, mode="keypoint", keypoint_count=2)
+        config = dataclasses.replace(gallery.config, mode="keypoint")
         path = str(tmp_path / "kp.bin")
         pipeline.save_model(dataclasses.replace(gallery, config=config), path)
         return path
@@ -500,6 +524,106 @@ class TestUsageErrors:
                       "--out", str(tmp_path / "eval.csv")]):
             err = self.one_config_line(capsys, argv)
             assert err == "error: config: keypoint mode requires --keypoints-dir\n"
+
+
+class TestKeypointCountFromSidecars:
+    """Keypoint mode embeds one block per point of each image's sidecar file.
+    No config key sets the count: images whose counts differ fail where
+    their features meet, naming the image."""
+
+    POINTS = [(16, 16), (48, 20), (32, 40), (20, 50), (50, 50)]
+    BLOCK = 33 * 34 // 2  # feature length of one block under the 8x4 bank
+
+    def write(self, path, n):
+        path.write_text("".join(f"{x} {y}\n" for x, y in self.POINTS[:n]))
+
+    @pytest.fixture
+    def keypoints(self, small_dataset, tmp_path):
+        """The keypoints dir: 5 points for every gallery and probe image."""
+        kp = tmp_path / "kp"
+        kp.mkdir()
+        for manifest in small_dataset:
+            for rec in load_manifest(manifest):
+                self.write(kp / f"{Path(rec.path).stem}.txt", 5)
+        return kp
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        cfg = tmp_path / "kp.cfg"
+        cfg.write_text(CONFIG_TEXT + "mode=keypoint\n")
+        return str(cfg)
+
+    def sidecar(self, keypoints, manifest, i):
+        """The image path of row ``i`` of ``manifest`` and its sidecar file."""
+        path = load_manifest(manifest)[i].path
+        return path, keypoints / f"{Path(path).stem}.txt"
+
+    def enroll(self, small_dataset, config, keypoints, tmp_path):
+        return main(["enroll", "--config", config, "--manifest", small_dataset[0],
+                     "--out", str(tmp_path / "m.bin"), "--keypoints-dir", str(keypoints),
+                     "--jobs", "1"])
+
+    def evaluate(self, small_dataset, keypoints, tmp_path):
+        return main(["evaluate", "--model", str(tmp_path / "m.bin"), "--manifest", small_dataset[1],
+                     "--out", str(tmp_path / "eval.csv"), "--keypoints-dir", str(keypoints),
+                     "--jobs", "1"])
+
+    def data_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and err.count("\n") == 1
+        return err
+
+    def test_count_comes_from_the_files(self, small_dataset, config, keypoints, tmp_path, capsys):
+        assert self.enroll(small_dataset, config, keypoints, tmp_path) == 0
+        assert f"feature_length={5 * self.BLOCK}" in capsys.readouterr().out
+        assert self.evaluate(small_dataset, keypoints, tmp_path) == 0
+        rows = (tmp_path / "eval.csv").read_text().splitlines()
+        assert rows[0] == "subset,n_probes,rank1,rank5" and rows[1].startswith("noisy,8,")
+
+    def test_gallery_image_with_other_count_exits_3(self, small_dataset, config, keypoints,
+                                                    tmp_path, capsys):
+        first, _ = self.sidecar(keypoints, small_dataset[0], 0)
+        image, sidecar = self.sidecar(keypoints, small_dataset[0], 2)
+        self.write(sidecar, 4)
+        assert self.enroll(small_dataset, config, keypoints, tmp_path) == 3
+        err = self.data_error(capsys)
+        assert (f"{image}: feature length {4 * self.BLOCK}, {first}'s is {5 * self.BLOCK} "
+                "(gallery images differ in size or key-point count?)") in err
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_probe_with_other_count_exits_3(self, small_dataset, config, keypoints, tmp_path,
+                                            capsys):
+        assert self.enroll(small_dataset, config, keypoints, tmp_path) == 0
+        probe, sidecar = self.sidecar(keypoints, small_dataset[1], 3)
+        self.write(sidecar, 4)
+        assert self.evaluate(small_dataset, keypoints, tmp_path) == 3
+        err = self.data_error(capsys)
+        assert f"{probe}: feature length {4 * self.BLOCK}, the gallery's is {5 * self.BLOCK}" in err
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_empty_sidecar_exits_3(self, small_dataset, config, keypoints, tmp_path, capsys):
+        _, sidecar = self.sidecar(keypoints, small_dataset[0], 1)
+        sidecar.write_text("\n")
+        assert self.enroll(small_dataset, config, keypoints, tmp_path) == 3
+        assert f"{sidecar}: no points" in self.data_error(capsys)
+
+    @pytest.mark.parametrize("command", ["enroll", "sweep"])
+    def test_keypoint_count_key_exits_2(self, small_dataset, config, keypoints, tmp_path, capsys,
+                                        no_image_read, command):
+        gallery_manifest, probe_manifest = small_dataset
+        bad = tmp_path / "bad.txt"
+        bad.write_text("keypoint_count=5\n")
+        if command == "enroll":
+            argv = ["enroll", "--config", str(bad), "--manifest", gallery_manifest,
+                    "--out", str(tmp_path / "m.bin")]
+        else:
+            argv = ["sweep", "--config", config, "--grid", str(bad),
+                    "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest,
+                    "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv + ["--keypoints-dir", str(keypoints)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config: {bad}:1: unknown key 'keypoint_count'\n"
 
 
 @pytest.fixture(scope="module")
@@ -643,9 +767,7 @@ class TestSweepSharesExtraction:
             for rec in load_manifest(manifest):
                 (keypoints / (Path(rec.path).stem + ".txt")).write_text(points)
         config = tmp_path / "kp.cfg"
-        config.write_text(CONFIG_TEXT + "mode=keypoint\nkeypoint_count=5\n")
-        # keypoint_count stays fixed: every row reads the same sidecar files,
-        # and each must hold exactly keypoint_count points
+        config.write_text(CONFIG_TEXT + "mode=keypoint\n")
         got, grid = self.run_sweep(sweep_dataset, str(config), tmp_path,
                                    "block_size=11,21\nridge_scale=0.0001,0.1\n", jobs,
                                    keypoints_dir=str(keypoints))
@@ -685,33 +807,6 @@ class TestSweepSharesExtraction:
         with pytest.raises(ExtractionError):
             pipeline._extract_all(path, configs + [RunConfig(block_size=99)], None)
         assert len(refs) == 3 and all(ref() is None for ref in refs)
-
-    @pytest.mark.parametrize("base_mode, grid_text, code", [
-        ("keypoint", "keypoint_count=5,6\nblock_size=11\n", 2),
-        ("keypoint", "mode=grid,keypoint\nkeypoint_count=5,6\n", 2),
-        ("grid", "keypoint_count=5,6\n", 0),
-    ])
-    def test_keypoint_count_takes_one_value_in_keypoint_mode(self, sweep_dataset, tmp_path, capsys,
-                                                             monkeypatch, base_mode, grid_text,
-                                                             code):
-        def fail(path):
-            raise AssertionError(f"{path} read before the grid was refused")
-
-        if code:
-            monkeypatch.setattr("lglg.cli.load_manifest", fail)
-        config = tmp_path / "run.cfg"
-        config.write_text(CONFIG_TEXT + f"mode={base_mode}\nk_requested=5\n")
-        grid = tmp_path / "grid.txt"
-        grid.write_text(grid_text)
-        gallery_manifest, probe_manifest = sweep_dataset
-        got = main(["sweep", "--config", str(config), "--grid", str(grid),
-                    "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest,
-                    "--out", str(tmp_path / "sweep.csv")])
-        err = capsys.readouterr().err
-        assert got == code
-        if code:
-            assert err.startswith("error: config:") and err.count("\n") == 1
-            assert "keypoint_count [5, 6]" in err
 
     def test_no_probes_exits_3(self, sweep_dataset, config_file, tmp_path, capsys):
         gallery_manifest, _ = sweep_dataset

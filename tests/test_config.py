@@ -15,7 +15,7 @@ from lglg.formats import parse_grid_file
 KEYPOINT_CONFIG = RunConfig(
     mode="keypoint", directions=6, scales=3, sigma_pi=0.75, k_max_pi=0.4, spacing=1.5,
     window_len=7, gamma=0.3, dog_sigma_inner=0.8, dog_sigma_outer=2.5, contrast_alpha=0.2,
-    contrast_tau=8.0, block_size=11, keypoint_count=5, ridge_scale=1e-3, k_requested=40,
+    contrast_tau=8.0, block_size=11, ridge_scale=1e-3, k_requested=40,
 )
 
 KEYS = [f.name for f in dataclasses.fields(RunConfig)]
@@ -42,11 +42,11 @@ def key_value_text(sep):
 
 class TestBinaryLayout:
     def test_block_size(self):
-        assert CONFIG_BLOCK_SIZE == 97
+        assert CONFIG_BLOCK_SIZE == 93
 
     def test_default_fingerprint(self):
         assert RunConfig().feature_fingerprint() == (
-            "7149f5f9ffe4743eaa668ec906ec5a4f9922458c7f323fc64f71ad6e19211f7a"
+            "44dcbbdfb6371fff6bef568ac5a5090e2a3c0e0a3a35c59781ec923084843be7"
         )
 
     def test_fingerprint_ignores_k_requested(self):
@@ -55,12 +55,12 @@ class TestBinaryLayout:
     @pytest.mark.parametrize("config, expected", [
         (RunConfig(),
          "0800000004000000000000000000f03f000000000000e03fcd3b7f669ea0f63f090000009a9999999999"
-         "c93f000000000000f03f00000000000000409a9999999999b93f0000000000002440000f000000150000"
-         "002d431cebe2361a3fac040000"),
+         "c93f000000000000f03f00000000000000409a9999999999b93f0000000000002440000f0000002d431c"
+         "ebe2361a3fac040000"),
         (KEYPOINT_CONFIG,
          "0600000003000000000000000000e83f9a9999999999d93f000000000000f83f07000000333333333333"
-         "d33f9a9999999999e93f00000000000004409a9999999999c93f0000000000002040010b000000050000"
-         "00fca9f1d24d62503f28000000"),
+         "d33f9a9999999999e93f00000000000004409a9999999999c93f0000000000002040010b000000fca9f1"
+         "d24d62503f28000000"),
     ])
     def test_pinned_pack(self, config, expected):
         assert config.pack().hex() == expected

@@ -79,26 +79,27 @@ class TestLoadKeypoints:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("3 4\n5.5 6.25\n")
-        assert load_keypoints(str(p), 2) == [(3.0, 4.0), (5.5, 6.25)]
+        assert load_keypoints(str(p)) == [(3.0, 4.0), (5.5, 6.25)]
 
-    def test_count_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank_lines"])
+    def test_no_points(self, tmp_path, text):
         p = tmp_path / "a.txt"
-        p.write_text("3 4\n")
-        with pytest.raises(KeypointError):
-            load_keypoints(str(p), 21)
+        p.write_text(text)
+        with pytest.raises(KeypointError, match=f"{p}: no points"):
+            load_keypoints(str(p))
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("3 4 5\n")
         with pytest.raises(KeypointError):
-            load_keypoints(str(p), 1)
+            load_keypoints(str(p))
 
     @pytest.mark.parametrize("line", ["nan 3", "3 inf", "-inf 2"])
     def test_non_finite_coordinate(self, tmp_path, line):
         p = tmp_path / "a.txt"
         p.write_text(f"1 2\n{line}\n")
         with pytest.raises(KeypointError, match=f"{p}:2: non-finite"):
-            load_keypoints(str(p), 2)
+            load_keypoints(str(p))
 
 
 class TestEstimateGaussian:

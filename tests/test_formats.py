@@ -105,7 +105,7 @@ class TestNotUtf8:
         p = tmp_path / "a.txt"
         p.write_bytes(b"1 2\n3 \xff\n")
         with pytest.raises(KeypointError, match=f"{p}: not UTF-8"):
-            load_keypoints(str(p), 2)
+            load_keypoints(str(p))
 
 
 class TestArbitraryBytes:
@@ -135,12 +135,12 @@ class TestArbitraryBytes:
         assert len({r.path for r in records}) == len(records)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=64), st.integers(1, 3))
-    def test_load_keypoints(self, tmp_path_factory, data, count):
+    @given(st.binary(max_size=64))
+    def test_load_keypoints(self, tmp_path_factory, data):
         p = tmp_path_factory.getbasetemp() / "fuzz.txt"
         p.write_bytes(data)
         try:
-            points = load_keypoints(str(p), count)
+            points = load_keypoints(str(p))
         except LglgError:
             return
-        assert len(points) == count and np.isfinite(points).all()
+        assert len(points) >= 1 and np.isfinite(points).all()

@@ -638,7 +638,7 @@ class TestModelFile:
 
     @pytest.mark.parametrize("mutate", [
         lambda b: b[:DIMS_AT + 6],                                       # header cut short
-        lambda b: b[:DIMS_AT - 21] + b"\x07" + b[DIMS_AT - 20:],          # mode byte 7
+        lambda b: b[:DIMS_AT - 17] + b"\x07" + b[DIMS_AT - 16:],          # mode byte 7
         lambda b: b.replace(b"\x01\x00a", b"\xff\xffa"),                 # id length overruns
         lambda b: b.replace(b"\x01\x00a", b"\x01\x00\xff"),              # id not UTF-8
     ])
@@ -646,6 +646,13 @@ class TestModelFile:
         p = tmp_path / "bad.bin"
         p.write_bytes(with_crc(mutate(body)))
         with pytest.raises(ModelFormatError, match=str(p)):
+            load_model(str(p))
+
+    def test_version_1_refused(self, body, tmp_path):
+        # a version-1 config block held a key-point count after block_size
+        p = tmp_path / "v1.bin"
+        p.write_bytes(with_crc(body[:4] + struct.pack("<H", 1) + body[6:]))
+        with pytest.raises(FormatVersionMismatch, match=f"{p}: format version 1, expected 2"):
             load_model(str(p))
 
     @settings(max_examples=200, deadline=None)
