@@ -17,10 +17,6 @@ class DimensionMismatch(LglgError):
     """Operands have incompatible dimensions."""
 
 
-class InvalidIndex(LglgError):
-    """Direction/scale index outside the configured bank."""
-
-
 class ImageTooSmall(LglgError):
     """Image smaller than the filter support or block size."""
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ImageTooLarge, ImageTooSmall, InvalidIndex
+from .errors import ConfigError, ImageTooLarge, ImageTooSmall
 from .parallel import split
 
 #: Bytes of kernel-part products that :func:`decompose` sends through one
@@ -95,14 +95,6 @@ class GaborParams:
         return self.directions * self.scales
 
 
-@dataclass(frozen=True)
-class GaborKernel:
-    u: int
-    v: int
-    real: np.ndarray = field(repr=False)
-    imag: np.ndarray = field(repr=False)
-
-
 def wave_number(params: GaborParams, v: int) -> float:
     """Spatial frequency of scale v: k_max / spacing^v."""
     return params.k_max / params.spacing**v
@@ -113,17 +105,14 @@ def orientation(params: GaborParams, u: int) -> float:
     return math.pi * (u - 1) / params.directions
 
 
-def build_kernel(params: GaborParams, u: int, v: int) -> GaborKernel:
-    """Build the direction-u, scale-v kernel on an integer grid centred at 0.
+def _kernel(params: GaborParams, u: int, v: int) -> np.ndarray:
+    """The direction-u, scale-v kernel on an integer grid centred at 0, as
+    one complex array.
 
     The DC term of the real part is removed with the discretely computed
     envelope mean rather than the continuous exp(-sigma^2/2) constant, so the
     sampled kernel is exactly zero-sum regardless of window truncation.
     """
-    if not (1 <= u <= params.directions):
-        raise InvalidIndex(f"direction index {u} outside 1..{params.directions}")
-    if not (1 <= v <= params.scales):
-        raise InvalidIndex(f"scale index {v} outside 1..{params.scales}")
     r = (params.window_len - 1) // 2
     coords = np.arange(-r, r + 1, dtype=np.float64)
     x, y = np.meshgrid(coords, coords, indexing="xy")
@@ -136,24 +125,18 @@ def build_kernel(params: GaborParams, u: int, v: int) -> GaborKernel:
     phase = k_v * (math.cos(phi) * x + math.sin(phi) * y)
     cos_part = envelope * np.cos(phase)
     dc = cos_part.sum() / envelope.sum()
-    return GaborKernel(u=u, v=v, real=cos_part - dc * envelope, imag=envelope * np.sin(phase))
+    kernel = (cos_part - dc * envelope).astype(np.complex128)
+    kernel.imag = envelope * np.sin(phase)
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
 class GaborBank:
-    """The U*V kernels of one parameter set, a read-only sequence."""
+    """The U*V kernels of one parameter set: ``kernels[p]`` is the
+    (window_len, window_len) complex kernel p."""
 
     params: GaborParams
-    kernels: tuple[GaborKernel, ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.kernels)
-
-    def __iter__(self):
-        return iter(self.kernels)
-
-    def __getitem__(self, p):
-        return self.kernels[p]
+    kernels: np.ndarray = field(repr=False)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -163,18 +146,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def build_bank(params: GaborParams) -> GaborBank:
-    """All U*V kernels in deterministic order: index p = (v-1)*U + u.
+    """All U*V kernels in deterministic order: index p = (v-1)*U + (u-1).
 
-    Memoized per parameter set; the kernel arrays are read-only.
+    Memoized per parameter set; the kernel array is read-only.
     """
-    kernels = []
-    for v in range(1, params.scales + 1):
-        for u in range(1, params.directions + 1):
-            k = build_kernel(params, u, v)
-            _read_only(k.real)
-            _read_only(k.imag)
-            kernels.append(k)
-    return GaborBank(params=params, kernels=tuple(kernels))
+    kernels = [_kernel(params, u, v) for v in range(1, params.scales + 1)
+               for u in range(1, params.directions + 1)]
+    return GaborBank(params=params, kernels=_read_only(np.stack(kernels)))
 
 
 def next_fast_len(n: int) -> int:
@@ -203,16 +181,9 @@ def kernel_spectra(params: GaborParams, fshape: tuple[int, int]) -> np.ndarray:
     """Real-FFT spectra of every flipped kernel part, zero-padded to
     ``fshape``: shape (U*V, 2, fshape[0], fshape[1]//2 + 1), real part at
     index 0 and imaginary part at 1. Memoized; the array is read-only."""
-    bank = build_bank(params)
-    spectra = np.empty((len(bank), 2, fshape[0], fshape[1] // 2 + 1), dtype=np.complex128)
-    for p, kernel in enumerate(bank):
-        for part, taps in enumerate((kernel.real, kernel.imag)):
-            spectra[p, part] = np.fft.rfftn(taps[::-1, ::-1], fshape, axes=(0, 1))
-    return _read_only(spectra)
-
-
-def _pad_reflect(image: np.ndarray, r: int) -> np.ndarray:
-    return np.pad(image, r, mode="symmetric")
+    kernels = build_bank(params).kernels
+    parts = np.stack((kernels.real, kernels.imag), axis=1)[..., ::-1, ::-1]
+    return _read_only(np.fft.rfftn(parts, fshape, axes=(2, 3)))
 
 
 def _conv_direct(padded: np.ndarray, kernel: np.ndarray, out_shape: tuple[int, int]) -> np.ndarray:
@@ -241,16 +212,16 @@ def check_fits(image_shape: tuple[int, ...], params: GaborParams) -> None:
         )
 
 
-def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.ndarray:
-    """Magnitude subbands of an image: shape (len(bank), H, W).
+def decompose(image: np.ndarray, bank: GaborBank) -> np.ndarray:
+    """Magnitude subbands of an image: shape (U*V, H, W).
 
-    Filtering is same-size with reflect padding. ``method`` selects the FFT
-    path (default) or the direct spatial path used as its oracle.
+    Filtering is same-size with reflect padding. :func:`decompose_direct`
+    is its oracle.
 
-    The FFT path takes one real FFT of the padded image and multiplies it by
-    each cached kernel spectrum. The products go through the inverse FFT in
-    stacks of kernel parts, as many as fit in ``STACK_BYTES`` (at least
-    one), one call per pass, and one ``hypot`` per stack writes its planes.
+    One real FFT of the padded image is multiplied by each cached kernel
+    spectrum. The products go through the inverse FFT in stacks of kernel
+    parts, as many as fit in ``STACK_BYTES`` (at least one), one call per
+    pass, and one ``hypot`` per stack writes its planes.
     The FFTs go through ``numpy.fft``; FFT length, product order,
     normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
@@ -260,21 +231,10 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
     split.
     """
     image = np.asarray(image, dtype=np.float64)
-    wl = bank[0].real.shape[0]
     check_fits(image.shape, bank.params)
-    if method not in ("fft", "direct"):
-        raise ConfigError(f"unknown convolution method {method!r}")
-
-    r = (wl - 1) // 2
-    padded = _pad_reflect(image, r)
-    planes = np.empty((len(bank), *image.shape))
-    if method == "direct":
-        for p, kernel in enumerate(bank):
-            re = _conv_direct(padded, kernel.real, image.shape)
-            im = _conv_direct(padded, kernel.imag, image.shape)
-            planes[p] = np.hypot(re, im)
-        return planes
-
+    wl = bank.params.window_len
+    padded = np.pad(image, (wl - 1) // 2, mode="symmetric")
+    planes = np.empty((len(bank.kernels), *image.shape))
     fshape = fft_shape(image.shape, wl)
     spectrum = np.fft.rfftn(padded, fshape, axes=(0, 1))
     h, w = image.shape
@@ -306,5 +266,19 @@ def decompose(image: np.ndarray, bank: GaborBank, method: str = "fft") -> np.nda
                 inverse(spectrum * parts[2 * p + i : 2 * p + j], out[i:j])
             np.hypot(out[0:n:2], out[1:n:2], out=planes[p : p + n // 2])
 
-    split(filter_planes, len(bank))
+    split(filter_planes, len(planes))
+    return planes
+
+
+def decompose_direct(image: np.ndarray, bank: GaborBank) -> np.ndarray:
+    """:func:`decompose` by direct spatial convolution, its test oracle:
+    two real passes per kernel, then ``hypot``."""
+    image = np.asarray(image, dtype=np.float64)
+    check_fits(image.shape, bank.params)
+    padded = np.pad(image, (bank.params.window_len - 1) // 2, mode="symmetric")
+    planes = np.empty((len(bank.kernels), *image.shape))
+    for p, kernel in enumerate(bank.kernels):
+        re = _conv_direct(padded, kernel.real, image.shape)
+        im = _conv_direct(padded, kernel.imag, image.shape)
+        planes[p] = np.hypot(re, im)
     return planes

@@ -21,6 +21,7 @@ from .formats import (
     Gallery, ManifestRecord, keypoint_path, load_keypoints, load_manifest, load_model, read_pgm,
     save_model,
 )
+from .gabor import check_fits
 from .wpca import fit, project, zscore
 
 
@@ -45,7 +46,11 @@ def extract_feature(
     stacks = {} if stacks is None else stacks
     try:
         if path not in stacks:
-            stacks[path] = read_pgm(path).astype(np.float64) / 255.0
+            pixels = read_pgm(path)
+            # before the float64 copy, which an image far over the bound
+            # could fail to allocate
+            check_fits(pixels.shape, config.gabor_params())
+            stacks[path] = pixels / 255.0
         keypoints = None
         if config.mode == MODE_KEYPOINT:
             if keypoints_dir is None:

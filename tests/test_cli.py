@@ -209,6 +209,27 @@ class TestEnroll:
                f"planes and kernel spectra, more than {MAX_FILTER_BYTES}\n")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_image_over_filter_bound_exits_3_before_float_copy(self, config_file, tmp_path):
+        # a 12000x12000 image is read as 2 bytes a pixel (the file and its
+        # pixels), well within the child's 1.1 GB address space; one float64
+        # copy of it takes 1.15 GB more, so the bound must hold before any.
+        # The images are sparse files of zeros, so writing them is fast
+        header = b"P5\n12000 12000\n255\n"
+        paths = [str(tmp_path / f"{name}.pgm") for name in ("a", "b")]
+        for path in paths:
+            with open(path, "wb") as fh:
+                fh.write(header)
+                fh.truncate(len(header) + 12000 * 12000)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,subject_id,subset\n{paths[0]},a,g\n{paths[1]},b,g\n")
+        run = main_in_child(["enroll", "--config", config_file, "--manifest", str(manifest),
+                             "--out", str(tmp_path / "m.bin"), "--jobs", "1"],
+                            limit=1_100_000 * 1024)
+        assert (run.returncode, run.stderr) == (
+            3, f"error: data: {paths[0]}: image (12000, 12000) needs 112459161600 bytes of Gabor "
+               f"planes and kernel spectra, more than {MAX_FILTER_BYTES}\n")
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("line", ["directions=17", "scales=9"])
     def test_bank_beyond_bounds_exits_2(self, small_dataset, tmp_path, capsys, line):
         config = tmp_path / "big.cfg"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lglg import gabor, parallel
-from lglg.errors import ConfigError, ImageTooSmall, InvalidIndex
-from lglg.gabor import GaborParams, build_bank, build_kernel, decompose
+from lglg.errors import ConfigError, ImageTooSmall
+from lglg.gabor import GaborParams, build_bank, decompose, decompose_direct
 
 
 def params_8x5():
@@ -50,21 +50,22 @@ class TestParams:
 
 class TestBuildKernel:
     def test_dc_free_all_kernels(self):
-        for k in build_bank(params_8x5()):
+        for k in build_bank(params_8x5()).kernels:
             norm = np.linalg.norm(k.real)
             assert abs(k.real.sum()) < 1e-8 * norm
 
     def test_imag_antisymmetric(self):
-        for k in build_bank(params_8x5()):
+        for k in build_bank(params_8x5()).kernels:
             norm = math.hypot(np.linalg.norm(k.real), np.linalg.norm(k.imag))
             assert np.max(np.abs(k.imag + np.rot90(k.imag, 2))) < 1e-12 * norm
             assert abs(k.imag.sum()) < 1e-8 * norm
 
     def test_quarter_turn_relates_orthogonal_directions(self):
         p = params_8x5()
+        kernels = build_bank(p).kernels
         for v in (1, 3):
-            k0 = build_kernel(p, 1, v)
-            k90 = build_kernel(p, 1 + p.directions // 2, v)
+            k0 = kernels[(v - 1) * p.directions]
+            k90 = kernels[(v - 1) * p.directions + p.directions // 2]
             # rotating the grid clockwise by 90 degrees maps direction 1 onto 1+U/2
             assert np.max(np.abs(np.rot90(k0.real, 3) - k90.real)) < 1e-10
             assert np.max(np.abs(np.rot90(k0.imag, 3) - k90.imag)) < 1e-10
@@ -75,13 +76,6 @@ class TestBuildKernel:
             math.sqrt(2.0), rel=1e-15
         )
 
-    def test_invalid_indices(self):
-        p = params_8x5()
-        with pytest.raises(InvalidIndex):
-            build_kernel(p, 0, 1)
-        with pytest.raises(InvalidIndex):
-            build_kernel(p, 1, 6)
-
 
 class TestBuildBank:
     @pytest.mark.parametrize(
@@ -89,13 +83,15 @@ class TestBuildBank:
     )
     def test_bank_sizes(self, u, v, expected):
         bank = build_bank(GaborParams(directions=u, scales=v))
-        assert len(bank) == expected
+        assert bank.kernels.shape == (expected, 9, 9) and bank.kernels.dtype == np.complex128
 
     def test_ordering_scale_major(self):
-        bank = build_bank(GaborParams(directions=3, scales=2))
-        assert [(k.u, k.v) for k in bank] == [
-            (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)
-        ]
+        p = GaborParams(directions=3, scales=2)
+        kernels = build_bank(p).kernels
+        order = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
+        assert len(kernels) == len(order)
+        for k, (u, v) in zip(kernels, order):
+            assert np.array_equal(k, gabor._kernel(p, u, v))
 
 
 class TestDecompose:
@@ -113,8 +109,8 @@ class TestDecompose:
     def test_fft_matches_direct(self, rng):
         bank = build_bank(GaborParams())
         image = rng.standard_normal((64, 64))
-        fft = decompose(image, bank, method="fft")
-        direct = decompose(image, bank, method="direct")
+        fft = decompose(image, bank)
+        direct = decompose_direct(image, bank)
         assert np.max(np.abs(fft - direct)) < 1e-8
 
     def test_grating_peaks_in_matched_plane(self):
@@ -155,10 +151,10 @@ def fftconvolve_reference(image, bank):
     ``scipy.signal.fftconvolve`` calls per kernel, then the magnitude."""
     from scipy.signal import fftconvolve
 
-    wl = bank[0].real.shape[0]
+    wl = bank.params.window_len
     padded = np.pad(image, (wl - 1) // 2, mode="symmetric")
-    planes = np.empty((len(bank), *image.shape))
-    for p, kernel in enumerate(bank):
+    planes = np.empty((len(bank.kernels), *image.shape))
+    for p, kernel in enumerate(bank.kernels):
         re = fftconvolve(padded, kernel.real[::-1, ::-1], mode="valid")
         im = fftconvolve(padded, kernel.imag[::-1, ::-1], mode="valid")
         planes[p] = np.hypot(re, im)
@@ -169,13 +165,15 @@ class TestDecomposeBitwise:
     # FFT lengths (8x4-w9): 80x80, 54x72, 108x54, 120x100, 75x135, so
     # radices 2, 3 and 5 mixed, and odd lengths; then 180x180 and 288x288,
     # where a stack holds one kernel part. The 15 kernels of 5x3 fill no
-    # whole number of stacks of two kernels (64x64) or three (37x50)
+    # whole number of stacks of two kernels (64x64) or three (37x50). The
+    # 128 kernels of the largest bank, at window 31, check its spectra
     @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (91, 37), (100, 81), (59, 117),
                                        (160, 160), (256, 256)])
     @pytest.mark.parametrize(
         "params", [GaborParams(), GaborParams(directions=3, scales=2, window_len=7),
-                   GaborParams(directions=5, scales=3)],
-        ids=["8x4-w9", "3x2-w7", "5x3-w9"],
+                   GaborParams(directions=5, scales=3),
+                   GaborParams(directions=16, scales=8, window_len=31)],
+        ids=["8x4-w9", "3x2-w7", "5x3-w9", "16x8-w31"],
     )
     def test_equals_per_kernel_fftconvolve(self, rng, shape, params):
         bank = build_bank(params)
@@ -250,10 +248,12 @@ class TestCaches:
         )
 
     def test_bank_arrays_read_only(self):
-        for k in build_bank(GaborParams()):
-            assert not k.real.flags.writeable and not k.imag.flags.writeable
+        kernels = build_bank(GaborParams()).kernels
+        assert not kernels.flags.writeable
         with pytest.raises(ValueError):
-            build_bank(GaborParams())[0].real[0, 0] = 1.0
+            kernels[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            kernels[0].real[0, 0] = 1.0
 
     def test_spectra_read_only_and_memoized(self):
         p = GaborParams(directions=3, scales=2, window_len=7)
