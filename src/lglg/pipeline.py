@@ -4,7 +4,7 @@ The model file is read and written by :mod:`lglg.formats`."""
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,7 +112,11 @@ def enroll(
     ``features`` holds one row per record, already extracted under
     ``config``; without it the images are extracted here, ``jobs`` as
     :func:`lglg.parallel.imap` takes it. The model's bytes do not depend
-    on ``jobs``."""
+    on ``jobs``.
+
+    The gallery's model holds the arrays that :func:`save_model` writes and
+    nothing more: the whitened basis that standardizing built is dropped,
+    and the gallery builds it again on its first match."""
     _check_gallery_size(records)
     if features is None:
         [features] = _feature_matrices([r.path for r in records], [config], keypoints_dir, jobs)
@@ -129,7 +133,7 @@ def enroll(
     standardized = np.vstack([zscore(project(model, f)) for f in features])
     return Gallery(
         config=config,
-        model=model,
+        model=replace(model),  # a copy without the whitened basis cached above
         subject_ids=[r.subject_id for r in records],
         features=standardized,
     )

@@ -36,7 +36,9 @@ class ProjectionModel:
     def whitened(self) -> np.ndarray:
         """W = U D^{-1/2}; projection with W whitens the training set.
 
-        Computed once per model; the array is read-only.
+        Computed once per model, on first use; the array is read-only. A
+        gallery from :func:`lglg.pipeline.enroll` starts without it, as one
+        from :func:`lglg.formats.load_model` does.
         """
         w = self.basis / np.sqrt(self.eigvals)
         w.setflags(write=False)

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -416,6 +417,50 @@ class TestEnroll:
         feats = np.ones((rows, 4))
         with pytest.raises(DimensionMismatch, match=f"{rows} feature rows given for 10 gallery records"):
             pipeline.enroll(records, default_config, features=feats)
+
+
+class TestEnrolledGallery:
+    """A gallery from enroll holds its model file's arrays and nothing more."""
+
+    @pytest.fixture(scope="class")
+    def gallery_features(self, benchmark_dataset, default_config):
+        records = pipeline.load_manifest(benchmark_dataset[0])
+        return records, np.vstack([pipeline.extract_feature(r.path, default_config) for r in records])
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_holds_no_whitened_basis(self, gallery_features, default_config, given):
+        records, feats = gallery_features
+        gallery = pipeline.enroll(records, default_config, features=feats if given else None)
+        assert set(vars(gallery.model)) == {"train_mean", "basis", "eigvals"}
+
+    def test_matches_as_its_loaded_model_file(
+        self, gallery_features, benchmark_dataset, default_config, tmp_path
+    ):
+        records, feats = gallery_features
+        probes = pipeline.load_manifest(benchmark_dataset[1])[::5]
+        enrolled = pipeline.enroll(records, default_config, features=feats)
+        # the enrolled gallery matches first, so it builds its own whitened basis
+        rankings = [identify(enrolled, r.path, default_config).ranking for r in probes]
+        rows = pipeline.evaluate(enrolled, probes, default_config, jobs=1)
+        save_model(enrolled, str(tmp_path / "m.bin"))
+        loaded = load_model(str(tmp_path / "m.bin"))
+        # distances are finite and non-negative, so == compares their bits
+        assert [identify(loaded, r.path, default_config).ranking for r in probes] == rankings
+        assert pipeline.evaluate(loaded, probes, default_config, jobs=1) == rows
+
+    def test_keeps_no_more_than_its_model_file(self, gallery_features, default_config, tmp_path):
+        # with the whitened basis kept, a k-component gallery would hold
+        # about (2k + 1) / (k + 1) times its file's bytes, 1.9 at k = 9
+        records, feats = gallery_features
+        tracemalloc.start()
+        try:
+            gallery = pipeline.enroll(records, default_config, features=feats)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gallery.model.output_dim == 9
+        save_model(gallery, str(tmp_path / "m.bin"))
+        assert kept <= 1.1 * os.path.getsize(tmp_path / "m.bin")
 
 
 class TestModelAcrossBlasThreads:
