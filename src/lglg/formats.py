@@ -27,7 +27,9 @@ from .wpca import ProjectionModel
 
 MANIFEST_HEADER = ["path", "subject_id", "subset"]
 MODEL_MAGIC = b"LGLG"
-MODEL_VERSION = 2
+# the basis slot holds the whitening basis W; a version-2 file held the
+# orthonormal U there and is refused like any other version
+MODEL_VERSION = 3
 
 # Magic, width, height and maxval, each after whitespace holding '#' comments
 # to the end of their line (a comment must end at '\n' or '#' runs backtrack).
@@ -112,8 +114,14 @@ def load_manifest(path: str) -> list[ManifestRecord]:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read an 8-bit binary (P5) PGM into a uint8 array."""
-    data = Path(path).read_bytes()
+    """Read an 8-bit binary (P5) PGM into a uint8 array.
+
+    The file is read once into one buffer, and the array is a writable view
+    of its pixels in that buffer: about 1 byte a pixel."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+        data += fh.read()  # all of a pipe, whose size fstat does not give
     header = _PGM_HEADER.match(data)
     if header is None:
         raise ManifestError(f"{path}: not a binary (P5) PGM")
@@ -130,7 +138,7 @@ def read_pgm(path: str) -> np.ndarray:
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=header.end())
     if pixels.max() > maxval:
         raise ManifestError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
-    return pixels.reshape(height, width).copy()
+    return pixels.reshape(height, width)
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -181,8 +189,9 @@ def _check_model_size(n_entries: int, k: int, where: str) -> None:
 
 
 def save_model(gallery: Gallery, path: str) -> None:
-    """Binary model file: magic, version, config block, dims, WPCA state,
-    standardized entries, trailing CRC-32 of everything before it.
+    """Binary model file: magic, version, config block, dims, WPCA state (the
+    training mean, the whitening basis W and the eigenvalues), standardized
+    entries, trailing CRC-32 of everything before it.
 
     The parts are written one by one under a running CRC-32, to a temporary
     name in the same directory that is renamed over ``path``, so readers

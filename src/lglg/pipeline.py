@@ -4,7 +4,7 @@ The model file is read and written by :mod:`lglg.formats`."""
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,8 +115,8 @@ def enroll(
     on ``jobs``.
 
     The gallery's model holds the arrays that :func:`save_model` writes and
-    nothing more: the whitened basis that standardizing built is dropped,
-    and the gallery builds it again on its first match."""
+    nothing more: the training mean, the whitening basis W that projects
+    both the entries and every probe, and the eigenvalues."""
     _check_gallery_size(records)
     if features is None:
         [features] = _feature_matrices([r.path for r in records], [config], keypoints_dir, jobs)
@@ -133,7 +133,7 @@ def enroll(
     standardized = np.vstack([zscore(project(model, f)) for f in features])
     return Gallery(
         config=config,
-        model=replace(model),  # a copy without the whitened basis cached above
+        model=model,
         subject_ids=[r.subject_id for r in records],
         features=standardized,
     )

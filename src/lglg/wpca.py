@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,10 +17,14 @@ ZSCORE_STD_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ProjectionModel:
-    """Training mean, orthonormal basis and eigenvalues of a fitted WPCA."""
+    """Training mean, whitening basis and eigenvalues of a fitted WPCA.
+
+    ``basis`` is W = U D^{-1/2}, with the orthonormal principal directions
+    as the columns of U and D = diag(``eigvals``). Projection with W whitens
+    the training set; ``basis * np.sqrt(eigvals)`` gives U back."""
 
     train_mean: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)      # input_dim x k, orthonormal columns
+    basis: np.ndarray = field(repr=False)      # input_dim x k, W = U D^{-1/2}
     eigvals: np.ndarray = field(repr=False)    # length k, positive, descending
 
     @property
@@ -32,18 +35,6 @@ class ProjectionModel:
     def output_dim(self) -> int:
         return self.basis.shape[1]
 
-    @cached_property
-    def whitened(self) -> np.ndarray:
-        """W = U D^{-1/2}; projection with W whitens the training set.
-
-        Computed once per model, on first use; the array is read-only. A
-        gallery from :func:`lglg.pipeline.enroll` starts without it, as one
-        from :func:`lglg.formats.load_model` does.
-        """
-        w = self.basis / np.sqrt(self.eigvals)
-        w.setflags(write=False)
-        return w
-
 
 def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
     """Fit on an N x input_dim matrix, keeping at most k_requested components.
@@ -51,7 +42,8 @@ def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
     When input_dim exceeds N the N x N Gram matrix is eigendecomposed instead
     of the full covariance. Components with eigenvalues below
     ``RANK_CUTOFF_REL`` times the largest are dropped, so k never exceeds the
-    numerical rank of the centered data (at most N - 1).
+    numerical rank of the centered data (at most N - 1). The model's basis
+    is the whitening basis W, computed without a copy of U beside it.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -75,10 +67,13 @@ def fit(features: np.ndarray, k_requested: int) -> ProjectionModel:
     w = w[:k]
     if dim > n:
         # columns of Xc^T v / sqrt(n w) are the unit covariance eigenvectors
+        # U, whitened in place: one (dim, k) array. Dividing twice gives W
+        # the bits of U / sqrt(w); one fused division would round otherwise
         basis = Xc.T @ v[:, :k]
-        basis /= np.sqrt(n * w)  # in place: one (dim, k) temporary, not two
+        basis /= np.sqrt(n * w)
+        basis /= np.sqrt(w)
     else:
-        basis = v[:, :k]
+        basis = v[:, :k] / np.sqrt(w)
     return ProjectionModel(train_mean=mean, basis=basis, eigvals=w.copy())
 
 
@@ -87,7 +82,7 @@ def project(model: ProjectionModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape[0] != model.input_dim:
         raise DimensionMismatch(f"vector has dim {x.shape[0]}, model expects {model.input_dim}")
-    return model.whitened.T @ (x - model.train_mean)
+    return model.basis.T @ (x - model.train_mean)
 
 
 def zscore(y: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Input-file readers: any bytes give a value or an LglgError, and the PGM
 header regex agrees with a hand-written tokenizer on valid headers."""
 
+import os
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglg.errors import KeypointError, LglgError, ManifestError
-from lglg.formats import load_keypoints, load_manifest, read_pgm
+from lglg.formats import load_keypoints, load_manifest, read_pgm, write_pgm
 
 
 def reference_read_pgm(data: bytes) -> np.ndarray:
@@ -92,6 +95,38 @@ class TestPgmHeader:
         with pytest.raises(ManifestError):
             read_pgm(str(p))
         assert time.perf_counter() - start < 0.5
+
+
+class TestPgmRead:
+    def test_peak_is_one_copy_of_the_file(self, tmp_path, rng):
+        # the file is read into one buffer and the pixels are a view of it
+        image = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+        p = tmp_path / "i.pgm"
+        write_pgm(str(p), image)
+        tracemalloc.start()
+        try:
+            pixels = read_pgm(str(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * p.stat().st_size
+        assert pixels.flags.writeable and np.array_equal(pixels, image)
+
+    def test_reads_a_pipe(self, tmp_path, rng):
+        # fstat gives a pipe no size; 90 000 pixels span several pipe buffers
+        image = rng.integers(0, 256, (300, 300), dtype=np.uint8)
+        p = tmp_path / "i.pgm"
+        os.mkfifo(p)
+        writer = threading.Thread(
+            target=p.write_bytes, args=(b"P5\n300 300\n255\n" + image.tobytes(),), daemon=True
+        )
+        writer.start()
+        try:
+            pixels = read_pgm(str(p))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(pixels, image)
 
 
 class TestNotUtf8:

@@ -429,9 +429,20 @@ class TestEnrolledGallery:
 
     @pytest.mark.parametrize("given", [False, True])
     def test_holds_no_whitened_basis(self, gallery_features, default_config, given):
+        # the basis is the whitening basis itself, so matching adds nothing
         records, feats = gallery_features
         gallery = pipeline.enroll(records, default_config, features=feats if given else None)
+        pipeline.rank(gallery, feats[0], records[0].path)
         assert set(vars(gallery.model)) == {"train_mean", "basis", "eigvals"}
+
+    def test_loaded_holds_its_file_arrays_after_matching(
+        self, gallery_features, default_config, tmp_path
+    ):
+        records, feats = gallery_features
+        save_model(pipeline.enroll(records, default_config, features=feats), str(tmp_path / "m.bin"))
+        loaded = load_model(str(tmp_path / "m.bin"))
+        pipeline.rank(loaded, feats[0], records[0].path)
+        assert set(vars(loaded.model)) == {"train_mean", "basis", "eigvals"}
 
     def test_matches_as_its_loaded_model_file(
         self, gallery_features, benchmark_dataset, default_config, tmp_path
@@ -439,7 +450,6 @@ class TestEnrolledGallery:
         records, feats = gallery_features
         probes = pipeline.load_manifest(benchmark_dataset[1])[::5]
         enrolled = pipeline.enroll(records, default_config, features=feats)
-        # the enrolled gallery matches first, so it builds its own whitened basis
         rankings = [identify(enrolled, r.path, default_config).ranking for r in probes]
         rows = pipeline.evaluate(enrolled, probes, default_config, jobs=1)
         save_model(enrolled, str(tmp_path / "m.bin"))
@@ -449,18 +459,22 @@ class TestEnrolledGallery:
         assert pipeline.evaluate(loaded, probes, default_config, jobs=1) == rows
 
     def test_keeps_no_more_than_its_model_file(self, gallery_features, default_config, tmp_path):
-        # with the whitened basis kept, a k-component gallery would hold
-        # about (2k + 1) / (k + 1) times its file's bytes, 1.9 at k = 9
+        # a second input_dim x k array beside the basis, such as a whitened
+        # copy of it, would make a k-component gallery hold about
+        # (2k + 1) / (k + 1) times its file's bytes, 1.9 at k = 9
         records, feats = gallery_features
         tracemalloc.start()
         try:
             gallery = pipeline.enroll(records, default_config, features=feats)
             kept, _ = tracemalloc.get_traced_memory()
+            pipeline.rank(gallery, feats[0], records[0].path)
+            kept_after_match, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert gallery.model.output_dim == 9
         save_model(gallery, str(tmp_path / "m.bin"))
-        assert kept <= 1.1 * os.path.getsize(tmp_path / "m.bin")
+        size = os.path.getsize(tmp_path / "m.bin")
+        assert kept <= 1.1 * size and kept_after_match <= 1.1 * size
 
 
 class TestModelAcrossBlasThreads:
@@ -697,8 +711,24 @@ class TestModelFile:
         # a version-1 config block held a key-point count after block_size
         p = tmp_path / "v1.bin"
         p.write_bytes(with_crc(body[:4] + struct.pack("<H", 1) + body[6:]))
-        with pytest.raises(FormatVersionMismatch, match=f"{p}: format version 1, expected 2"):
+        with pytest.raises(FormatVersionMismatch, match=f"{p}: format version 1, expected 3"):
             load_model(str(p))
+
+    def test_version_2_refused(self, body, tmp_path):
+        # a version-2 file held the orthonormal basis U where W now is: its
+        # layout still parses, so only the version tells them apart
+        p = tmp_path / "v2.bin"
+        p.write_bytes(with_crc(body[:4] + struct.pack("<H", 2) + body[6:]))
+        with pytest.raises(FormatVersionMismatch, match=f"{p}: format version 2, expected 3"):
+            load_model(str(p))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_cli_refuses_old_version_in_one_line(self, body, tmp_path, capsys, version):
+        p = tmp_path / f"v{version}.bin"
+        p.write_bytes(with_crc(body[:4] + struct.pack("<H", version) + body[6:]))
+        code = main(["identify", "--model", str(p), "--image", str(tmp_path / "probe.pgm")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: data: {p}: format version {version}, expected 3\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.binary(min_size=1, max_size=12))

@@ -9,6 +9,21 @@ from lglg import wpca
 from lglg.errors import DegenerateTrainingSet, DegenerateVector, DimensionMismatch
 
 
+def orthonormal_basis(X: np.ndarray, k: int) -> np.ndarray:
+    """U, the unit principal directions, as fit computes them before it
+    whitens: an independent copy of its steps."""
+    n, dim = X.shape
+    Xc = X - X.mean(axis=0)
+    c = Xc @ Xc.T / n if dim > n else Xc.T @ Xc / n
+    w, v = np.linalg.eigh(0.5 * (c + c.T))
+    w, v = w[::-1][:k], v[:, ::-1]
+    if dim <= n:
+        return v[:, :k]
+    U = Xc.T @ v[:, :k]
+    U /= np.sqrt(n * w)
+    return U
+
+
 class TestFit:
     def test_collinear_points_rank_one(self, rng):
         direction = rng.standard_normal(10)
@@ -24,13 +39,26 @@ class TestFit:
         cov = P.T @ P / 50
         assert np.max(np.abs(cov - np.eye(model.output_dim))) < 1e-8
 
-    def test_basis_orthonormal(self, rng):
+    def test_unwhitened_basis_orthonormal(self, rng):
         X = rng.standard_normal((20, 500))
         model = wpca.fit(X, 20)
-        U = model.basis
+        U = model.basis * np.sqrt(model.eigvals)
         assert np.linalg.norm(U.T @ U - np.eye(model.output_dim)) < 1e-10
         assert np.all(np.diff(model.eigvals) <= 0.0)
         assert np.all(model.eigvals > 0.0)
+
+    @pytest.mark.parametrize("n, dim, k", [(20, 500, 20), (10, 50, 5), (100, 8, 8), (30, 12, 6)],
+                             ids=["gram", "gram_truncated", "covariance", "covariance_truncated"])
+    def test_basis_is_u_over_root_eigvals_bitwise(self, rng, n, dim, k):
+        # both paths: dim > n eigendecomposes the Gram matrix, dim <= n the
+        # covariance. Standardized entries and rankings keep their bits only
+        # if W is exactly U / sqrt(eigvals), with U's memory layout
+        X = rng.standard_normal((n, dim))
+        model = wpca.fit(X, k)
+        U = orthonormal_basis(X, model.output_dim)
+        W = U / np.sqrt(model.eigvals)
+        assert model.basis.shape == W.shape and model.basis.strides == W.strides
+        assert model.basis.tobytes() == W.tobytes()
 
     def test_low_dimensional_path(self, rng):
         X = rng.standard_normal((100, 8))
@@ -75,13 +103,6 @@ class TestProject:
         lhs = wpca.project(model, a * x1 + (1 - a) * x2)
         rhs = a * wpca.project(model, x1) + (1 - a) * wpca.project(model, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_whitened_computed_once_read_only(self, rng):
-        model = wpca.fit(rng.standard_normal((10, 50)), 5)
-        w = model.whitened
-        assert model.whitened is w
-        assert np.array_equal(w, model.basis / np.sqrt(model.eigvals))
-        assert not w.flags.writeable
 
     def test_dimension_mismatch(self, rng):
         model = wpca.fit(rng.standard_normal((10, 50)), 5)
