@@ -11,6 +11,11 @@ share one stack of an image through a dict that the caller passes to
 OpenBLAS runs one thread throughout (:mod:`lglg.parallel`). The helper
 threads call only the private kernels, never a public function of this
 module.
+
+No run calls :func:`estimate_gaussian`, :func:`block_feature` or
+:class:`GaussianDescriptor`. They are the per-block test oracle of
+:func:`block_features`; the tests and acceptance criteria 04-05 call
+them, and perfbench wraps the first two by name.
 """
 
 from __future__ import annotations

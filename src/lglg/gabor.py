@@ -176,11 +176,15 @@ def fft_shape(image_shape: tuple[int, int], window_len: int) -> tuple[int, int]:
     return tuple(next_fast_len(n + 2 * (window_len - 1)) for n in image_shape)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def kernel_spectra(params: GaborParams, fshape: tuple[int, int]) -> np.ndarray:
     """Real-FFT spectra of every flipped kernel part, zero-padded to
     ``fshape``: shape (U*V, 2, fshape[0], fshape[1]//2 + 1), real part at
-    index 0 and imaginary part at 1. Memoized; the array is read-only."""
+    index 0 and imaginary part at 1. The array is read-only.
+
+    Only the last bank and FFT shape asked for stay memoized, so a process
+    holds one set, or two while the next is built; a batch of one image
+    size builds one set, and each change of size rebuilds it."""
     kernels = build_bank(params).kernels
     parts = np.stack((kernels.real, kernels.imag), axis=1)[..., ::-1, ::-1]
     return _read_only(np.fft.rfftn(parts, fshape, axes=(2, 3)))

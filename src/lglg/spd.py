@@ -6,6 +6,13 @@ Each public function is that symmetrization plus a private kernel that
 takes an exactly symmetric input; :mod:`lglg.descriptor` calls the
 kernels, whose inputs are built symmetric, and so skips the symmetrization
 passes, which leave such inputs bitwise unchanged.
+
+No run calls a public function of this module. The public
+:func:`matrix_log`, :func:`embed_gaussian` and :func:`half_vectorize` are
+the test oracles of the private kernels that the block stage calls.
+:func:`matrix_exp`, :func:`matrix_sqrt`, :func:`sym_eig`,
+:func:`riemannian_distance` and :func:`log_euclidean_distance` serve only
+the tests and acceptance criteria 01-03.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lglg import gabor, parallel
+from lglg.config import RunConfig
+from lglg.descriptor import image_feature
 from lglg.errors import ConfigError, ImageTooSmall
 from lglg.gabor import GaborParams, build_bank, decompose, decompose_direct
 
@@ -263,3 +266,23 @@ class TestCaches:
         with pytest.raises(ValueError):
             spectra[0, 0, 0, 0] = 0.0
         assert gabor.kernel_spectra(GaborParams(directions=3, scales=2, window_len=7), (48, 60)) is spectra
+
+    def test_one_spectra_set_held_across_fft_shapes(self, rng, monkeypatch):
+        # four image sizes, four FFT shapes: after the last image only its
+        # spectra stay cached (7.5 MB at 96², 20 MB for all four sets)
+        monkeypatch.setattr(parallel, "CORES", 1)
+        config = RunConfig()
+        images = [rng.uniform(0.0, 1.0, (n, n)) for n in (64, 72, 80, 96)]
+        gabor.kernel_spectra.cache_clear()
+        tracemalloc.start()
+        try:
+            for image in images:
+                image_feature(image, config)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gabor.kernel_spectra.cache_info().currsize == 1
+        params = config.gabor_params()
+        last = gabor.kernel_spectra(params, gabor.fft_shape((96, 96), params.window_len))
+        assert gabor.kernel_spectra.cache_info().hits == 1
+        assert held <= last.nbytes + 2**20
