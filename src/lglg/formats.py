@@ -11,6 +11,7 @@ import os
 import re
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +35,8 @@ MODEL_VERSION = 3
 # Magic, width, height and maxval, each after whitespace holding '#' comments
 # to the end of their line (a comment must end at '\n' or '#' runs backtrack).
 _PGM_HEADER = re.compile(rb"P5" + rb"\s(?:\s|#[^\n]*\n)*(\d+)" * 3 + rb"\s")
+#: Bytes read for a PGM header at first: all of a small image.
+_PGM_PIECE = 4096
 
 
 @dataclass(frozen=True)
@@ -113,27 +116,44 @@ def load_manifest(path: str) -> list[ManifestRecord]:
     return records
 
 
-def read_pgm(path: str) -> np.ndarray:
+def read_pgm(path: str, check: Callable[[tuple[int, int]], None] | None = None) -> np.ndarray:
     """Read an 8-bit binary (P5) PGM into a uint8 array.
 
-    The file is read once into one buffer, and the array is a writable view
-    of its pixels in that buffer: about 1 byte a pixel."""
+    ``check``, if given, gets the header's (height, width) before any pixel
+    is read, and raises to refuse it. The header is read in pieces, then
+    the pixels into one buffer with it, and the array is a writable view of
+    its pixels in that buffer: about 1 byte a pixel."""
     with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data):]
-        data += fh.read()  # all of a pipe, whose size fstat does not give
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise ManifestError(f"{path}: not a binary (P5) PGM")
-    try:
-        width, height, maxval = map(int, header.groups())
-    except ValueError:  # more digits than int() converts
-        raise ManifestError(f"{path}: malformed PGM header") from None
-    if width < 1 or height < 1:
-        raise ManifestError(f"{path}: PGM size {width}x{height} is empty")
-    if not 1 <= maxval <= 255:
-        raise ManifestError(f"{path}: maxval {maxval} outside 1..255 (only 8-bit PGM supported)")
-    if len(data) - header.end() < width * height:
+        data = bytearray()
+        # comments may make the header long; a piece that ends inside it
+        # does not match, and the pieces grow so that a long one is read once
+        while (header := _PGM_HEADER.match(data)) is None:
+            piece = fh.read(max(_PGM_PIECE, len(data)))
+            if not piece:
+                raise ManifestError(f"{path}: not a binary (P5) PGM")
+            data += piece
+        try:
+            width, height, maxval = map(int, header.groups())
+        except ValueError:  # more digits than int() converts
+            raise ManifestError(f"{path}: malformed PGM header") from None
+        if width < 1 or height < 1:
+            raise ManifestError(f"{path}: PGM size {width}x{height} is empty")
+        if not 1 <= maxval <= 255:
+            raise ManifestError(f"{path}: maxval {maxval} outside 1..255 (only 8-bit PGM supported)")
+        if check is not None:
+            check((height, width))
+        end = header.end() + width * height
+        if len(data) < end <= os.fstat(fh.fileno()).st_size:
+            buffer = bytearray(end)
+            buffer[:len(data)] = data
+            with memoryview(buffer) as view:
+                filled = len(data) + fh.readinto(view[len(data):])
+            del buffer[filled:]  # a file that shrank since fstat
+            data = buffer
+        elif len(data) < end:
+            # a truncated file, or a pipe, whose size fstat does not give
+            data += fh.read()
+    if len(data) < end:
         raise ManifestError(f"{path}: truncated PGM pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=header.end())
     if pixels.max() > maxval:

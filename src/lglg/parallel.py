@@ -18,8 +18,9 @@ One image's extraction splits its Gabor subbands, and then its block list,
 across the cores of the process's CPU affinity with :func:`split`, once
 per stage. The work is numpy FFT and LAPACK code that releases the
 interpreter lock, and each part writes its own output rows, so the result
-is bitwise that of one thread. Helper threads live for one split only:
-none is alive when a process pool forks.
+is bitwise that of one thread. Helper threads are parked between splits
+and stopped before any fork: none is alive when a process pool forks, and
+the next split starts them again.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import queue
 import threading
 from collections.abc import Callable, Iterator
 from itertools import repeat
@@ -109,30 +111,83 @@ def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator
         yield from pool.map(fn, items[1:], *map(repeat, args))
 
 
+#: Parked helper threads with their inboxes; a split's ranges 1.. go to the
+#: first of them, in order. Emptied before any fork of the process.
+_helpers: list[tuple[threading.Thread, queue.SimpleQueue]] = []
+#: Held while a split hands out its ranges and while the helpers stop, so
+#: no range goes to a helper that is stopping.
+_helpers_lock = threading.Lock()
+_on_helper = threading.local()
+
+
+def _run(fn: Callable[[int, int], T], lo: int, hi: int) -> tuple[T | None, BaseException | None]:
+    try:
+        return fn(lo, hi), None
+    except BaseException as exc:  # re-raised by split, in the calling thread
+        return None, exc
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A helper's loop: run each ``(fn, lo, hi, slot)`` from ``inbox`` and
+    put its result and exception in ``slot``; return at None."""
+    _on_helper.active = True
+    while (job := inbox.get()) is not None:
+        fn, lo, hi, slot = job
+        reply = [_run(fn, lo, hi)]
+        # hold nothing of this split once the caller has its reply: fn may
+        # close over an image's planes. The reply leaves the list as put's
+        # argument, which put releases before the caller can run.
+        del job, fn
+        slot.put(reply.pop())
+
+
+def _stop_helpers() -> None:
+    """Stop and join every helper, before any fork: the child starts with
+    none, and the parent's next split starts them again."""
+    with _helpers_lock:
+        for _, inbox in _helpers:
+            inbox.put(None)
+        for thread, _ in _helpers:
+            if thread is not threading.current_thread():
+                thread.join()
+        _helpers.clear()
+
+
+os.register_at_fork(before=_stop_helpers)
+
+
+def _dispatch(fn: Callable[[int, int], T], ranges: list[tuple[int, int]]) -> list[queue.SimpleQueue]:
+    """Hand each range to a parked helper, started here if there are too
+    few; the reply slot of each range, in order."""
+    slots = [queue.SimpleQueue() for _ in ranges]
+    with _helpers_lock:
+        while len(_helpers) < len(ranges):
+            inbox: queue.SimpleQueue = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(inbox,), daemon=True,
+                                      name=f"lglg-split-{len(_helpers) + 1}")
+            thread.start()
+            _helpers.append((thread, inbox))
+        for (_, inbox), slot, (lo, hi) in zip(_helpers, slots, ranges):
+            inbox.put((fn, lo, hi, slot))
+    return slots
+
+
 def split(fn: Callable[[int, int], T], n: int) -> list[T]:
     """``[fn(lo, hi), ...]`` over contiguous ranges that cover ``range(n)``,
     in order: one range per core, and at most one per item. The calling
-    thread runs the first range and helper threads the rest; they are
-    joined before this returns, and the first range's exception, in range
-    order, is raised."""
+    thread runs the first range and parked helper threads the rest; every
+    range is done before this returns, and the first range's exception, in
+    range order, is raised."""
     parts = max(1, min(CORES, n))
     bounds = [n * i // parts for i in range(parts + 1)]
-    results: list = [None] * parts
-    errors: list[BaseException | None] = [None] * parts
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(bounds[i], bounds[i + 1])
-        except BaseException as exc:  # re-raised below, in the calling thread
-            errors[i] = exc
-
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for t in helpers:
-        t.start()
-    run(0)
-    for t in helpers:
-        t.join()
-    for exc in errors:
+    ranges = list(zip(bounds, bounds[1:]))
+    if getattr(_on_helper, "active", False):
+        # a split inside a helper's range: the helper must not wait for itself
+        replies = [_run(fn, lo, hi) for lo, hi in ranges]
+    else:
+        slots = _dispatch(fn, ranges[1:])
+        replies = [_run(fn, *ranges[0])] + [slot.get() for slot in slots]
+    for _, exc in replies:
         if exc is not None:
             raise exc
-    return results
+    return [result for result, _ in replies]

@@ -46,11 +46,10 @@ def extract_feature(
     stacks = {} if stacks is None else stacks
     try:
         if path not in stacks:
-            pixels = read_pgm(path)
-            # before the float64 copy, which an image far over the bound
-            # could fail to allocate
-            check_fits(pixels.shape, config.gabor_params())
-            stacks[path] = pixels / 255.0
+            # checked before the pixels are read: an image far over the
+            # bound could fail to allocate them, or their float64 copy
+            params = config.gabor_params()
+            stacks[path] = read_pgm(path, lambda shape: check_fits(shape, params)) / 255.0
         keypoints = None
         if config.mode == MODE_KEYPOINT:
             if keypoints_dir is None:

@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import threading
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def no_image_read(monkeypatch):
     """Fails the test if lglg reads an image in this process."""
     from lglg import pipeline
 
-    def fail(path):
+    def fail(path, check=None):
         raise AssertionError(f"{path} read before an error was reported")
 
     monkeypatch.setattr(pipeline, "read_pgm", fail)
@@ -71,3 +72,13 @@ def blas_threads():
         get.argtypes, get.restype = [], ctypes.c_int
         return get
     pytest.skip("numpy has no bundled OpenBLAS")
+
+
+def split_helpers() -> list[threading.Thread]:
+    """lglg's split helper threads that are alive, parked or running."""
+    return [t for t in threading.enumerate() if t.name.startswith("lglg-split-")]
+
+
+def other_threads() -> set[threading.Thread]:
+    """The threads alive that are not lglg split helpers."""
+    return set(threading.enumerate()) - set(split_helpers())

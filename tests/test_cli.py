@@ -230,6 +230,26 @@ class TestEnroll:
                f"planes and kernel spectra, more than {MAX_FILTER_BYTES}\n")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_pgm_header_over_filter_bound_exits_3_before_pixels_are_read(self, config_file, tmp_path):
+        # the header of a sparse file claims 40000x40000 pixels, 1.6 GB,
+        # more than the child's 1.1 GB address space: the header alone is
+        # checked against the bound
+        header = b"P5\n40000 40000\n255\n"
+        paths = [str(tmp_path / f"{name}.pgm") for name in ("a", "b")]
+        for path in paths:
+            with open(path, "wb") as fh:
+                fh.write(header)
+                fh.truncate(len(header) + 40000 * 40000)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,subject_id,subset\n{paths[0]},a,g\n{paths[1]},b,g\n")
+        run = main_in_child(["enroll", "--config", config_file, "--manifest", str(manifest),
+                             "--out", str(tmp_path / "m.bin"), "--jobs", "1"],
+                            limit=1_100_000 * 1024)
+        assert (run.returncode, run.stderr) == (
+            3, f"error: data: {paths[0]}: image (40000, 40000) needs 1249449472000 bytes of Gabor "
+               f"planes and kernel spectra, more than {MAX_FILTER_BYTES}\n")
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("line", ["directions=17", "scales=9"])
     def test_bank_beyond_bounds_exits_2(self, small_dataset, tmp_path, capsys, line):
         config = tmp_path / "big.cfg"
@@ -715,9 +735,9 @@ class TestSweepSharesExtraction:
         calls = Counter()
         read = pipeline.read_pgm
 
-        def counting(path):
+        def counting(path, check=None):
             calls[path] += 1
-            return read(path)
+            return read(path, check)
 
         monkeypatch.setattr(pipeline, "read_pgm", counting)
         configs = [RunConfig(block_size=b, k_requested=5) for b in (11, 15, 21)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_spd
+from conftest import other_threads, random_spd, split_helpers
 from lglg import descriptor, gabor, parallel, pipeline, spd
 from lglg.config import RunConfig
 from lglg.descriptor import (
@@ -225,11 +225,13 @@ class TestSubbandsChecksFirst:
 
 def feature_bytes(monkeypatch, cores, image, cfg, points=None):
     """``image_feature``'s bytes with ``cores`` threads per split; no thread
-    outlives the call."""
+    but the parked split helpers outlives the call, and it starts no more
+    of them than ``cores - 1``."""
     monkeypatch.setattr(parallel, "CORES", cores)
-    threads = threading.active_count()
+    threads, helpers = other_threads(), len(split_helpers())
     feature = image_feature(image, cfg, points)
-    assert threading.active_count() == threads
+    assert other_threads() == threads
+    assert len(split_helpers()) == max(helpers, cores - 1)
     return feature.tobytes()
 
 

@@ -112,6 +112,42 @@ class TestPgmRead:
         assert peak <= 1.1 * p.stat().st_size
         assert pixels.flags.writeable and np.array_equal(pixels, image)
 
+    def test_check_sees_the_size_before_the_pixels_are_read(self, tmp_path):
+        # a sparse file whose header claims 1.6 GB of pixels: the check
+        # refuses it having read the header alone
+        header = b"P5\n40000 40000\n255\n"
+        p = tmp_path / "i.pgm"
+        with open(p, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + 40000 * 40000)
+        seen = []
+
+        def refuse(shape):
+            seen.append(shape)
+            raise ManifestError("too large")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ManifestError, match="too large"):
+                read_pgm(str(p), refuse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seen == [(40000, 40000)] and peak < 1 << 20
+
+    def test_check_gets_height_then_width(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        write_pgm(str(p), np.arange(6).reshape(2, 3))
+        seen = []
+        assert read_pgm(str(p), seen.append).shape == (2, 3)
+        assert seen == [(2, 3)]
+
+    def test_header_longer_than_the_first_piece(self, tmp_path):
+        data = b"P5\n#" + b"c" * 10000 + b"\n2 1\n255\n\x07\x09"
+        p = tmp_path / "i.pgm"
+        p.write_bytes(data)
+        assert np.array_equal(read_pgm(str(p)), reference_read_pgm(data))
+
     def test_reads_a_pipe(self, tmp_path, rng):
         # fstat gives a pipe no size; 90 000 pixels span several pipe buffers
         image = rng.integers(0, 256, (300, 300), dtype=np.uint8)

@@ -2,9 +2,13 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import weakref
 
+import numpy as np
 import pytest
 
+from conftest import other_threads, split_helpers
 from lglg import parallel
 from lglg.parallel import split
 
@@ -63,12 +67,12 @@ class TestSplit:
                 raise ValueError(f"part at {lo}")
             return lo
 
-        threads = threading.active_count()
+        threads = other_threads()
         with pytest.raises(ValueError, match="part at 2"):
             split(fn, 8)
         assert sorted(done) == [2, 4, 6]
-        assert threading.active_count() == threads
-
+        # the helpers that raised stay parked for the next split
+        assert other_threads() == threads and len(split_helpers()) >= 3
 
     def test_more_threads_than_cores_with_fast_switching_lose_nothing(self, cores):
         cores(8)
@@ -88,6 +92,127 @@ class TestSplit:
                 assert out == list(range(1000))
         finally:
             sys.setswitchinterval(interval)
+
+
+def _helpers_in_worker(item):
+    """In a pool worker: its cores, and the lglg helpers alive before and
+    after a split of four items."""
+    before = [t.name for t in split_helpers()]
+    split(lambda lo, hi: None, 4)
+    return parallel.CORES, before, [t.name for t in split_helpers()]
+
+
+def in_child(check) -> int:
+    """Exit code of a forked child that runs ``check()``: 0 when it returns
+    True, 1 when False or raising, 2 when it has not exited in 30 s."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if check() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    return 2
+
+
+class TestParkedHelpers:
+    """Ranges 1.. of a split run on helper threads that are started once,
+    parked between splits and stopped before any fork."""
+
+    def test_two_splits_run_on_the_same_helpers(self, cores):
+        cores(3)
+        runs = [split(lambda lo, hi: threading.current_thread(), 6) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] is threading.current_thread()
+        assert len(set(runs[0][1:])) == 2
+        assert all(t.is_alive() and t.name.startswith("lglg-split-") for t in runs[0][1:])
+
+    @pytest.mark.parametrize("n_cores", [1, 2, 3])
+    def test_no_more_helpers_than_cores_less_one(self, cores, n_cores):
+        # after a split on four cores, fewer cores use fewer of its helpers
+        cores(4)
+        split(lambda lo, hi: None, 8)
+        cores(n_cores)
+        used = {t for _ in range(2) for t in split(lambda lo, hi: threading.current_thread(), 8)[1:]}
+        assert len(used) == n_cores - 1
+
+    def test_stopped_before_a_fork_and_restarted_by_the_next_split(self, cores):
+        cores(2)
+        split(lambda lo, hi: None, 2)
+        parked = split_helpers()
+        assert parked
+
+        def child():
+            # the child starts with no helper, and its split starts one
+            return (split_helpers() == [] and parallel._helpers == []
+                    and split(lambda lo, hi: lo, 2) == [0, 1] and len(split_helpers()) == 1)
+
+        assert in_child(child) == 0
+        assert not any(t.is_alive() for t in parked)
+        assert split_helpers() == []
+        split(lambda lo, hi: None, 2)
+        assert len(split_helpers()) == 1
+
+    def test_none_alive_in_a_pool_worker(self, cores, monkeypatch):
+        # the first item runs here, on two cores, and parks a helper
+        monkeypatch.setattr(parallel, "AFFINITY", 2)
+        cores(2)
+        split(lambda lo, hi: None, 2)
+        out = list(parallel.imap(_helpers_in_worker, ["a", "b", "c"], jobs=2))
+        assert out[1:] == [(1, [], [])] * 2
+        assert len(out[0][2]) == 1 and split_helpers() == []
+        split(lambda lo, hi: None, 2)
+        assert len(split_helpers()) == 1
+
+    @pytest.mark.parametrize("raising", [0, 1])
+    def test_base_exception_leaves_no_stale_reply(self, cores, raising):
+        # range `raising` is interrupted while the others are still running;
+        # the next split gets its own results from the same helpers
+        cores(3)
+
+        def first(lo, hi):
+            if lo // 2 == raising:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return ("first", lo)
+
+        with pytest.raises(KeyboardInterrupt):
+            split(first, 6)
+        assert split(lambda lo, hi: ("second", lo), 6) == [("second", 0), ("second", 2), ("second", 4)]
+
+    def test_nothing_of_a_split_held_once_it_returns(self, cores):
+        # fn closes over the array and the parts return views of it
+        cores(3)
+        planes = np.zeros((6, 8))
+        ref = weakref.ref(planes)
+
+        def make(planes):
+            return lambda lo, hi: planes[lo:hi]
+
+        fn = make(planes)
+        del planes
+        for _ in range(20):
+            views = split(fn, 6)
+        assert [v.shape for v in views] == [(2, 8)] * 3
+        del fn, views
+        assert ref() is None
+
+    def test_split_inside_a_helper_runs_its_ranges_there(self, cores):
+        cores(2)
+
+        def outer(lo, hi):
+            me = threading.current_thread()
+            return split(lambda a, b: (a, b, threading.current_thread() is me), 4)
+
+        assert split(outer, 2) == [[(0, 2, True), (2, 4, False)], [(0, 2, True), (2, 4, True)]]
 
 
 class TestOneBlasThread:
@@ -120,11 +245,11 @@ class TestOneBlasThread:
         monkeypatch.setattr(parallel, "_OPENBLAS", lambda n: calls.append(f"set {n}"))
         return calls
 
-    def test_each_split_holds_until_its_helpers_are_joined(self, cores, blas_calls):
-        # the count holds through each split, which sets none, and no helper
-        # outlives the split that started it
+    def test_each_split_holds_until_its_helpers_reply(self, cores, blas_calls):
+        # the count holds through each split, which sets none, and no thread
+        # but a parked helper outlives it
         cores(2)
-        threads = threading.active_count()
+        threads = other_threads()
         seen = []
 
         def fn(lo, hi):
@@ -134,7 +259,7 @@ class TestOneBlasThread:
         split(fn, 4)
         assert sorted(seen) == [(0, []), (0, []), (2, []), (2, [])]
         assert blas_calls == []
-        assert threading.active_count() == threads
+        assert other_threads() == threads
 
     @pytest.mark.parametrize("n_cores", [1, 2])
     def test_nothing_changes_without_a_split(self, cores, blas_calls, n_cores):

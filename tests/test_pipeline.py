@@ -5,7 +5,6 @@ import re
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
 import zlib
 
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import other_threads, split_helpers
 from lglg import formats, gabor, parallel, pipeline
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
@@ -333,14 +333,14 @@ class TestPool:
     def test_pool_after_threaded_identify_equals_jobs_1(
         self, benchmark_dataset, benchmark_gallery, default_config, tmp_path, monkeypatch
     ):
-        # every plane loop and block list splits, so lglg threads have run
-        # in this process before each pool forks
+        # every plane loop and block list splits, so an lglg helper thread
+        # is parked in this process before each pool forks
         monkeypatch.setattr(parallel, "CORES", 2)
         gallery_records = pipeline.load_manifest(benchmark_dataset[0])
         probe_records = pipeline.load_manifest(benchmark_dataset[1])[:4]
-        threads = threading.active_count()
+        threads = other_threads()
         identify(benchmark_gallery, probe_records[0].path, default_config)
-        assert threading.active_count() == threads
+        assert other_threads() == threads and len(split_helpers()) >= 1
         for jobs in (1, 2):
             gallery = pipeline.enroll(gallery_records, default_config, jobs=jobs)
             save_model(gallery, str(tmp_path / f"{jobs}.bin"))
