@@ -27,8 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spd
 from .config import MODE_KEYPOINT, RunConfig
-from .errors import BlockTooLarge, KeypointError, NonFinite, TooFewSamples
-from .gabor import build_bank, check_fits, decompose
+from .errors import BlockTooLarge, ImageTooLarge, KeypointError, NonFinite, TooFewSamples
+from .gabor import MAX_FILTER_BYTES, build_bank, check_fits, decompose
 from .parallel import split
 from .preprocess import preprocess_chain
 
@@ -192,13 +192,37 @@ def block_features(
     return rows.ravel()
 
 
+def check_feature_fits(
+    image_shape: tuple[int, ...],
+    config: RunConfig,
+    keypoints: list[tuple[float, float]] | None = None,
+) -> None:
+    """:func:`lglg.gabor.check_fits`, then raise :class:`ImageTooLarge` if
+    the image's feature would take more than ``MAX_FILTER_BYTES``: one row
+    of (d+1)(d+2)/2 float64 values per block, that is per grid cell or per
+    key point."""
+    params = config.gabor_params()
+    check_fits(image_shape, params)
+    h, w = image_shape
+    bs = config.block_size
+    blocks = len(keypoints or ()) if config.mode == MODE_KEYPOINT else (h // bs) * (w // bs)
+    row = (params.num_subbands + 1) * (params.num_subbands + 2) // 2
+    need = blocks * row * 8
+    if need > MAX_FILTER_BYTES:
+        raise ImageTooLarge(
+            f"image {tuple(image_shape)} needs {need} bytes of block features ({blocks} blocks "
+            f"of {row} values), more than {MAX_FILTER_BYTES}"
+        )
+
+
 def image_feature(
     image: np.ndarray,
     config: RunConfig,
     keypoints: list[tuple[float, float]] | None = None,
     stacks: dict | None = None,
 ) -> np.ndarray:
-    """Full extraction for one image: :func:`subbands` (sharing ``stacks``),
-    then :func:`block_features`, each split across cores
-    (:func:`lglg.parallel.split`)."""
+    """Full extraction for one image: :func:`check_feature_fits`, then
+    :func:`subbands` (sharing ``stacks``) and :func:`block_features`, each
+    split across cores (:func:`lglg.parallel.split`)."""
+    check_feature_fits(np.shape(image), config, keypoints)
     return block_features(subbands(image, config, stacks), config, keypoints)

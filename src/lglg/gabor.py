@@ -43,7 +43,8 @@ MAX_SCALES = 8
 #: 1.1 times these in each process that extracts. 2 GiB admits a 1024x1024 image
 #: under the paper's 8x5 bank (1.08 GB) and any 256x256 one under the
 #: largest bank (0.24 GB at window 9, 1.3 GB at the widest); a 3000x3000 one
-#: under the default bank needs 7.1 GB.
+#: under the default bank needs 7.1 GB. It also bounds one image's feature
+#: (:func:`lglg.descriptor.check_feature_fits`).
 MAX_FILTER_BYTES = 2**31
 
 #: Widest kernel shapes a config or model file may ask for: ``sigma`` and

@@ -250,6 +250,25 @@ class TestEnroll:
                f"planes and kernel spectra, more than {MAX_FILTER_BYTES}\n")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_feature_over_bound_exits_3_before_filtering(self, tmp_path):
+        # 65536 blocks of 2x2 under the largest bank: 4.4 GB of feature rows,
+        # more than the child's 3 GB address space, though the 512x512
+        # image's planes and spectra pass check_fits
+        paths = [str(tmp_path / f"{name}.pgm") for name in ("a", "b")]
+        for path in paths:
+            write_pgm(path, np.zeros((512, 512)))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,subject_id,subset\n{paths[0]},a,g\n{paths[1]},b,g\n")
+        config = tmp_path / "big.cfg"
+        config.write_text("directions=16\nscales=8\nblock_size=2\n")
+        run = main_in_child(["enroll", "--config", str(config), "--manifest", str(manifest),
+                             "--out", str(tmp_path / "m.bin"), "--jobs", "1"],
+                            limit=3_000_000 * 1024)
+        assert (run.returncode, run.stderr) == (
+            3, f"error: data: {paths[0]}: image (512, 512) needs 4396154880 bytes of block "
+               f"features (65536 blocks of 8385 values), more than {MAX_FILTER_BYTES}\n")
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("line", ["directions=17", "scales=9"])
     def test_bank_beyond_bounds_exits_2(self, small_dataset, tmp_path, capsys, line):
         config = tmp_path / "big.cfg"

@@ -13,6 +13,7 @@ from lglg.descriptor import (
     GaussianDescriptor,
     block_feature,
     block_features,
+    check_feature_fits,
     estimate_gaussian,
     image_feature,
     keypoint_blocks,
@@ -21,6 +22,7 @@ from lglg.descriptor import (
 )
 from lglg.errors import (
     BlockTooLarge,
+    ImageTooLarge,
     ImageTooSmall,
     KeypointError,
     NonFinite,
@@ -221,6 +223,24 @@ class TestSubbandsChecksFirst:
         monkeypatch.setattr(descriptor, "build_bank", fail)
         with pytest.raises(ImageTooSmall, match="smaller than kernel support 301"):
             image_feature(np.zeros((32, 32)), RunConfig(window_len=301))
+
+    def test_feature_bytes_checked_before_the_bank_is_built(self, monkeypatch):
+        # 256x256 cells of 2x2 under the largest bank: 4.4 GB of rows
+        def fail(params):
+            raise AssertionError("kernel bank built for an image whose feature is over the bound")
+
+        monkeypatch.setattr(descriptor, "build_bank", fail)
+        cfg = RunConfig(directions=16, scales=8, block_size=2)
+        with pytest.raises(ImageTooLarge, match=r"^image \(512, 512\) needs 4396154880 bytes of "
+                                                r"block features \(65536 blocks of 8385 values\)"):
+            image_feature(np.zeros((512, 512)), cfg)
+
+    def test_keypoint_feature_bytes_count_the_points(self):
+        # 8385 values of 8 bytes per block: 32013 blocks fit in 2 GiB, 32014 do not
+        cfg = RunConfig(directions=16, scales=8, mode="keypoint", block_size=2)
+        check_feature_fits((64, 64), cfg, [(1.0, 1.0)] * 32013)
+        with pytest.raises(ImageTooLarge, match="32014 blocks"):
+            check_feature_fits((64, 64), cfg, [(1.0, 1.0)] * 32014)
 
 
 def feature_bytes(monkeypatch, cores, image, cfg, points=None):

@@ -215,6 +215,41 @@ class TestParkedHelpers:
         assert split(outer, 2) == [[(0, 2, True), (2, 4, False)], [(0, 2, True), (2, 4, True)]]
 
 
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports lglg from this tree;
+    fails the test if it has not exited in 30 s."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parallel.__file__))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+
+
+class TestInterpreterExit:
+    """Helpers are executor threads, which the interpreter joins at exit."""
+
+    def test_process_that_split_exits_promptly(self):
+        # its helper is parked when the main thread returns
+        code = (
+            "import threading\nfrom lglg import parallel\nparallel.CORES = 2\n"
+            "print(parallel.split(lambda lo, hi: threading.current_thread().name, 4))\n"
+        )
+        run = run_child(code)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "['MainThread', 'lglg-split-1_0']\n"
+
+    @pytest.mark.parametrize("parked", [False, True])
+    def test_split_in_an_atexit_handler_runs_in_the_caller(self, parked):
+        # by then concurrent.futures takes no new work, and a parked helper
+        # has been joined
+        code = (
+            "import atexit, threading\nfrom lglg import parallel\nparallel.CORES = 2\n"
+            f"if {parked}:\n    parallel.split(lambda lo, hi: None, 2)\n"
+            "atexit.register(lambda: print(parallel.split(\n"
+            "    lambda lo, hi: (lo, hi, threading.current_thread().name), 4)))\n"
+        )
+        run = run_child(code)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "[(0, 2, 'MainThread'), (2, 4, 'MainThread')]\n"
+
+
 class TestOneBlasThread:
     """Importing lglg sets OpenBLAS to one thread for the whole process, and
     no split changes the count."""
