@@ -54,33 +54,38 @@ class RunConfig:
             raise ConfigError("ridge_scale must be nonnegative")
         if self.k_requested < 2:
             raise ConfigError("k_requested must be at least 2 (z-scoring needs 2 components)")
-        # constructing the stage params validates their fields
-        self.gabor_params()
-        self.preprocess_params()
-
-    def gabor_params(self) -> GaborParams:
-        return GaborParams(
+        # Values that depend only on the fields, computed once per config
+        # object and kept outside them: eq, hash and repr see only the
+        # fields, and a pickle carries these too. Constructing the stage
+        # params validates their fields.
+        object.__setattr__(self, "_gabor_params", GaborParams(
             directions=self.directions,
             scales=self.scales,
             sigma=self.sigma_pi * math.pi,
             k_max=self.k_max_pi * math.pi,
             spacing=self.spacing,
             window_len=self.window_len,
-        )
-
-    def preprocess_params(self) -> PreprocessParams:
-        return PreprocessParams(
+        ))
+        object.__setattr__(self, "_preprocess_params", PreprocessParams(
             gamma=self.gamma,
             dog_sigma_inner=self.dog_sigma_inner,
             dog_sigma_outer=self.dog_sigma_outer,
             contrast_alpha=self.contrast_alpha,
             contrast_tau=self.contrast_tau,
-        )
+        ))
+        object.__setattr__(self, "_fingerprint",
+                           hashlib.sha256(self.pack()[:_FEATURE_BYTES]).hexdigest())
+
+    def gabor_params(self) -> GaborParams:
+        return self._gabor_params
+
+    def preprocess_params(self) -> PreprocessParams:
+        return self._preprocess_params
 
     def pack(self) -> bytes:
+        values = (getattr(self, f.name) for f in _FIELDS)
         return _STRUCT.pack(*(
-            _MODES.index(value) if f.type is str else value
-            for f, value in zip(_FIELDS, dataclasses.astuple(self))
+            _MODES.index(value) if f.type is str else value for f, value in zip(_FIELDS, values)
         ))
 
     @classmethod
@@ -98,7 +103,7 @@ class RunConfig:
 
     def feature_fingerprint(self) -> str:
         """Hash of the extraction-relevant fields (k_requested excluded)."""
-        return hashlib.sha256(self.pack()[:_FEATURE_BYTES]).hexdigest()
+        return self._fingerprint
 
 
 _FIELDS = dataclasses.fields(RunConfig)

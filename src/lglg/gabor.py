@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ImageTooLarge, ImageTooSmall
 from .parallel import split
+from .preprocess import symmetric_index
 
 #: Bytes of kernel-part products that :func:`decompose` sends through one
 #: inverse FFT call: a stack holds the most whole kernels whose two parts
@@ -173,7 +174,13 @@ def next_fast_len(n: int) -> int:
 def fft_shape(image_shape: tuple[int, int], window_len: int) -> tuple[int, int]:
     """FFT size at which :func:`decompose` filters an image of this shape:
     per axis, the reflect-padded length plus ``window_len - 1``, rounded up
-    by :func:`next_fast_len`, as ``scipy.signal.fftconvolve`` pads it."""
+    by :func:`next_fast_len`, as ``scipy.signal.fftconvolve`` pads it.
+    Memoized per (shape, window); any sequence of integers is a shape."""
+    return _fft_shape(tuple(map(int, image_shape)), int(window_len))
+
+
+@lru_cache(maxsize=32)
+def _fft_shape(image_shape: tuple[int, ...], window_len: int) -> tuple[int, ...]:
     return tuple(next_fast_len(n + 2 * (window_len - 1)) for n in image_shape)
 
 
@@ -238,11 +245,12 @@ def decompose(image: np.ndarray, bank: GaborBank) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     check_fits(image.shape, bank.params)
     wl = bank.params.window_len
-    padded = np.pad(image, (wl - 1) // 2, mode="symmetric")
+    h, w = image.shape
+    r = (wl - 1) // 2
+    padded = image.take(symmetric_index(h, r), axis=0).take(symmetric_index(w, r), axis=1)
     planes = np.empty((len(bank.kernels), *image.shape))
     fshape = fft_shape(image.shape, wl)
     spectrum = np.fft.rfftn(padded, fshape, axes=(0, 1))
-    h, w = image.shape
     valid = (slice(wl - 1, wl - 1 + h), slice(wl - 1, wl - 1 + w))
     spectra = kernel_spectra(bank.params, fshape)
     parts = spectra.reshape(-1, *spectrum.shape)  # kernel p's parts at 2p, 2p + 1

@@ -161,7 +161,8 @@ def rank(
                 f"{probe_path}: matching overflows ({exc}); the model holds extreme values"
             ) from exc
     order = np.argsort(dists, kind="stable")
-    ranking = [(gallery.subject_ids[i], float(dists[i])) for i in order]
+    ids = gallery.subject_ids
+    ranking = [(ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
     return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,25 +55,39 @@ def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
     return image**gamma
 
 
+@lru_cache(maxsize=8)
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Sampled, normalized Gaussian with support radius ceil(4*sigma)."""
+    """Sampled, normalized Gaussian with support radius ceil(4*sigma).
+
+    Memoized per sigma; the array is read-only."""
     radius = int(math.ceil(4.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+    k /= k.sum()
+    k.setflags(write=False)
+    return k
+
+
+@lru_cache(maxsize=16)
+def symmetric_index(n: int, radius: int) -> np.ndarray:
+    """Indices that pad an axis of length ``n`` by ``radius`` on each side:
+    ``a.take(symmetric_index(n, r), axis)`` equals ``np.pad(a, r,
+    mode="symmetric")`` along that axis, reflections repeated where
+    ``radius`` exceeds ``n``. Memoized per (n, radius); read-only."""
+    i = np.arange(-radius, n + radius) % (2 * n)
+    i = np.where(i < n, i, 2 * n - 1 - i)
+    i.setflags(write=False)
+    return i
 
 
 def _blur_axis(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    r = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    padded = np.pad(image, pad, mode="symmetric")
+    n = image.shape[axis]
+    padded = image.take(symmetric_index(n, len(kernel) // 2), axis=axis)
     out = np.zeros_like(image)
-    for i, w in enumerate(kernel):
-        if axis == 0:
-            out += w * padded[i : i + image.shape[0], :]
-        else:
-            out += w * padded[:, i : i + image.shape[1]]
+    tap = np.empty_like(image)
+    for i, w in enumerate(kernel.tolist()):
+        np.multiply(w, padded[i : i + n] if axis == 0 else padded[:, i : i + n], out=tap)
+        out += tap
     return out
 
 

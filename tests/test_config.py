@@ -2,13 +2,15 @@
 reports a bad config or grid. Only parsing runs here, never extraction."""
 
 import dataclasses
+import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lglg.cli import main
-from lglg.config import CONFIG_BLOCK_SIZE, RunConfig, parse_config_text
+from lglg.config import _FEATURE_BYTES, CONFIG_BLOCK_SIZE, RunConfig, parse_config_text
 from lglg.errors import ConfigError
 from lglg.formats import parse_grid_file
 
@@ -88,6 +90,41 @@ class TestBinaryLayout:
         except ConfigError:
             return
         assert config.pack() == blob
+
+
+class TestMemoizedValues:
+    """A config computes its fingerprint and stage params once, when it is
+    built; they stay what a fresh computation from its fields gives."""
+
+    @pytest.mark.parametrize("config", [RunConfig(), KEYPOINT_CONFIG])
+    def test_fingerprint_is_the_hash_of_the_feature_bytes(self, config):
+        fresh = hashlib.sha256(config.pack()[:_FEATURE_BYTES]).hexdigest()
+        assert config.feature_fingerprint() == fresh
+
+    @pytest.mark.parametrize("config", [RunConfig(), KEYPOINT_CONFIG])
+    def test_survives_pickle(self, config):
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and hash(copy) == hash(config) and repr(copy) == repr(config)
+        fresh = hashlib.sha256(copy.pack()[:_FEATURE_BYTES]).hexdigest()
+        assert copy.feature_fingerprint() == fresh == config.feature_fingerprint()
+        assert copy.gabor_params() == config.gabor_params()
+        assert copy.preprocess_params() == config.preprocess_params()
+
+    def test_replace_computes_anew(self):
+        base = RunConfig()
+        blocks = dataclasses.replace(base, block_size=11)
+        assert blocks.feature_fingerprint() != base.feature_fingerprint()
+        assert blocks.feature_fingerprint() == hashlib.sha256(
+            blocks.pack()[:_FEATURE_BYTES]).hexdigest()
+        assert dataclasses.replace(base, k_requested=5).feature_fingerprint() == (
+            base.feature_fingerprint())
+        assert dataclasses.replace(base, window_len=7).gabor_params().window_len == 7
+        assert dataclasses.replace(base, gamma=0.5).preprocess_params().gamma == 0.5
+
+    def test_stage_params_built_once(self):
+        config = RunConfig()
+        assert config.gabor_params() is config.gabor_params()
+        assert config.preprocess_params() is config.preprocess_params()
 
 
 class TestTextGrammar:

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from conftest import other_threads, random_spd, split_helpers
-from lglg import descriptor, gabor, parallel, pipeline, spd
+from lglg import descriptor, gabor, parallel, pipeline, preprocess, spd
 from lglg.config import RunConfig
 from lglg.descriptor import (
     GaussianDescriptor,
@@ -449,6 +449,25 @@ class TestSharingSubbands:
         image_feature(image, RunConfig())
         image_feature(image, RunConfig())
         assert len(decompose_calls) == 2
+
+
+class TestMemosKeepBytes:
+    """Every value memoized per config or shape gives, built anew, the
+    feature bytes that it gives reused."""
+
+    @pytest.mark.parametrize("size, cfg, points", [
+        (64, RunConfig(), None),
+        (256, RunConfig(), None),
+        (64, RunConfig(mode="keypoint", block_size=15), [(30.0, 30.0), (0.0, 63.0), (12.5, 40.0)]),
+    ])
+    def test_extraction_with_memos_cleared_between(self, rng, size, cfg, points):
+        image = rng.uniform(0.0, 1.0, (size, size))
+        first = image_feature(image, cfg, keypoints=points)
+        for memo in (preprocess.gaussian_kernel_1d, preprocess.symmetric_index, gabor._fft_shape):
+            memo.cache_clear()
+        # a new config object computes its fingerprint and stage params anew
+        second = image_feature(image, dataclasses.replace(cfg), keypoints=points)
+        assert first.tobytes() == second.tobytes()
 
 
 def gaussian_oracle(block, ridge_scale):

@@ -192,6 +192,16 @@ class TestNextFastLen:
             next_fast_len(n, real=True) for n in range(1, 5001)
         ]
 
+    def test_fft_shape_is_one_tuple_for_any_integer_sequence(self):
+        # numpy integers first, so that they are what the memo holds if it
+        # keeps its key's types
+        gabor._fft_shape.cache_clear()
+        shapes = [np.array([64, 48]), (np.int64(64), np.int32(48)), [64, 48], (64, 48)]
+        got = [gabor.fft_shape(shape, np.int64(9)) for shape in shapes]
+        assert got == [(80, 64)] * 4
+        assert all(type(s) is tuple and {type(n) for n in s} == {int} for s in got)
+        assert gabor._fft_shape.cache_info().currsize == 1
+
 
 class TestDecomposeCores:
     @pytest.mark.parametrize("cores", [2, 3, 4])

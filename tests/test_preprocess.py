@@ -94,6 +94,54 @@ class TestContrastEqualize:
             contrast_equalize(np.zeros((8, 8)), 0.1, 10.0)
 
 
+def reference_blur(image, sigma):
+    """The Gaussian blur by ``np.pad`` and one temporary per tap."""
+    k = gaussian_kernel_1d(sigma)
+    r = len(k) // 2
+    h, w = image.shape
+    padded = np.pad(image, [(r, r), (0, 0)], mode="symmetric")
+    rows = np.zeros_like(image)
+    for i, tap in enumerate(k):
+        rows += tap * padded[i : i + h, :]
+    padded = np.pad(rows, [(0, 0), (r, r)], mode="symmetric")
+    out = np.zeros_like(image)
+    for i, tap in enumerate(k):
+        out += tap * padded[:, i : i + w]
+    return out
+
+
+class TestSymmetricIndex:
+    # radius below, at and above the length; 23 > 3 * 7 reflects four times
+    @pytest.mark.parametrize("n, radius", [(7, 3), (7, 7), (7, 23), (1, 4), (2, 9)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_take_is_np_pad_symmetric(self, rng, n, radius, axis):
+        image = rng.standard_normal((n, 5) if axis == 0 else (5, n))
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        expected = np.pad(image, pad, mode="symmetric")
+        got = image.take(preprocess.symmetric_index(n, radius), axis=axis)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_read_only_and_memoized(self):
+        index = preprocess.symmetric_index(9, 4)
+        assert not index.flags.writeable
+        assert preprocess.symmetric_index(9, 4) is index
+
+    def test_taps_read_only_and_memoized(self):
+        taps = gaussian_kernel_1d(1.5)
+        assert not taps.flags.writeable
+        assert gaussian_kernel_1d(1.5) is taps
+
+    # the 5x6 image is narrower than the sigma-2 radius of 8
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (5, 6)])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_blur_is_the_np_pad_reference_bitwise(self, rng, shape, sigma):
+        image = rng.uniform(0.0, 1.0, shape)
+        got = preprocess.gaussian_blur(image, sigma)
+        assert got.tobytes() == reference_blur(image, sigma).tobytes()
+
+
 class TestChain:
     def test_constant_image_degenerate(self):
         with pytest.raises(DegenerateInput):
