@@ -3,9 +3,9 @@
 A preprocessed image is Gabor-decomposed once into a subband stack; blocks
 (regular grid or keypoint-centred) index into it, each block yielding a
 Gaussian over its per-pixel subband-magnitude vectors, embedded into flat
-space and half-vectorized. Configs that differ only in block settings can
-share one stack of an image through a dict that the caller passes to
-:func:`subbands` for that image.
+space and half-vectorized. Configs that differ only in block settings
+share one stack of an image, and one split of their blocks, through the
+:class:`ImageCache` that the caller builds for that image.
 
 :func:`block_features` splits an image's block list across cores once;
 OpenBLAS runs one thread throughout (:mod:`lglg.parallel`). The helper
@@ -20,7 +20,8 @@ them, and perfbench wraps the first two by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,6 +45,23 @@ class GaussianDescriptor:
 
     mu: np.ndarray
     cov: np.ndarray
+
+
+@dataclass
+class ImageCache:
+    """What the extractions of one image under ``configs`` share. The
+    caller builds it for the image, fills in ``image`` and ``keypoints``
+    once, and passes it to each extraction. :func:`subbands` keeps one
+    subband stack in it, ``planes`` under ``subband_key``, and a new stack
+    replaces it; :func:`image_feature` keeps the ``features`` it computed,
+    by feature fingerprint, those of later calls among them."""
+
+    configs: list[RunConfig]
+    image: np.ndarray | None = None
+    keypoints: list[tuple[float, float]] | None = None
+    subband_key: tuple | None = None
+    planes: np.ndarray | None = None
+    features: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def partition_blocks(image_shape: tuple[int, int], block_size: int) -> list[tuple[int, int]]:
@@ -127,26 +145,71 @@ def block_feature(g: GaussianDescriptor) -> np.ndarray:
     return spd.half_vectorize(spd.embed_gaussian(g.mu, g.cov))
 
 
-def subbands(image: np.ndarray, config: RunConfig, stacks: dict | None = None) -> np.ndarray:
+def _subband_key(config: RunConfig) -> tuple:
+    return config.preprocess_params(), config.gabor_params()
+
+
+def subbands(image: np.ndarray, config: RunConfig, cache: ImageCache | None = None) -> np.ndarray:
     """Preprocess, then Gabor-decompose: the (d, h, w) magnitude stack. It
     depends only on ``config.preprocess_params()`` and
     ``config.gabor_params()``; block settings act after it.
 
-    ``stacks`` belongs to one image: a repeat call with the same settings
-    returns the stack kept in it, and a new stack replaces the kept one, so
-    it holds at most one. Entries under other keys, such as an image path, stay."""
-    pre_params, gabor_params = key = (config.preprocess_params(), config.gabor_params())
-    if stacks is not None and key in stacks:
-        return stacks[key]
+    A repeat call with the same settings and ``cache`` returns the stack
+    kept in it, and a new stack replaces the kept one."""
+    pre_params, gabor_params = key = _subband_key(config)
+    if cache is not None and cache.subband_key == key:
+        return cache.planes
     # before the image is preprocessed or the bank built, which a large
     # image or window_len would allocate first
     check_fits(np.shape(image), gabor_params)
     planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params))
-    if stacks is not None:
-        for kept in [k for k in stacks if isinstance(k, tuple)]:
-            del stacks[kept]
-        stacks[key] = planes
+    if cache is not None:
+        cache.subband_key, cache.planes = key, planes
     return planes
+
+
+def _block_rects(
+    shape: tuple[int, int], config: RunConfig, keypoints: list[tuple[float, float]] | None
+) -> list[tuple[int, int]]:
+    """The (top, left) corners of ``config``'s blocks in an image of ``shape``."""
+    if config.mode == MODE_KEYPOINT:
+        if keypoints is None:
+            raise KeypointError("keypoint mode requires a keypoint list")
+        rects = keypoint_blocks(shape, keypoints, config.block_size)
+    else:
+        rects = partition_blocks(shape, config.block_size)
+    _check_samples(config.block_size**2)
+    return rects
+
+
+def _block_features(
+    planes: np.ndarray, parts: list[tuple[RunConfig, list[tuple[int, int]]]]
+) -> list[np.ndarray]:
+    """:func:`block_features` of each (config, block corners) of ``parts``,
+    all their blocks split across cores in one :func:`lglg.parallel.split`."""
+    d = planes.shape[0]
+    planes = np.asarray(planes, dtype=np.float64)
+    rows = [np.empty((len(rects), (d + 1) * (d + 2) // 2)) for _, rects in parts]
+    # (top, left, d, bs, bs): the window at each corner, a view of the planes
+    windows = [
+        np.moveaxis(sliding_window_view(planes, (c.block_size,) * 2, axis=(1, 2)), 0, 2)
+        for c, _ in parts
+    ]
+    starts = list(accumulate((len(rects) for _, rects in parts), initial=0))
+
+    def fill(lo: int, hi: int) -> None:
+        # helper threads run this: only private kernels, which the traced
+        # benchmark does not wrap, so its one span stack sees no thread but
+        # the caller
+        for (config, rects), view, out, start in zip(parts, windows, rows, starts):
+            end = min(hi - start, len(rects))
+            for i in range(max(lo - start, 0), end, BLOCK_CHUNK):
+                j = min(i + BLOCK_CHUNK, end)
+                tops, lefts = zip(*rects[i:j])
+                out[i:j] = _embed(*_gaussian(view[tops, lefts], config.ridge_scale))
+
+    split(fill, starts[-1])
+    return [r.ravel() for r in rows]
 
 
 def block_features(
@@ -164,32 +227,8 @@ def block_features(
     equals concatenating ``block_feature(estimate_gaussian(block))`` over
     the blocks, bit for bit.
     """
-    shape = planes.shape[1:]
-    bs = config.block_size
-    if config.mode == MODE_KEYPOINT:
-        if keypoints is None:
-            raise KeypointError("keypoint mode requires a keypoint list")
-        rects = keypoint_blocks(shape, keypoints, bs)
-    else:
-        rects = partition_blocks(shape, bs)
-    _check_samples(bs * bs)
-    d = planes.shape[0]
-    rows = np.empty((len(rects), (d + 1) * (d + 2) // 2))
-    # (top, left, d, bs, bs): the window at each corner, a view of float64 planes
-    windows = sliding_window_view(np.asarray(planes, dtype=np.float64), (bs, bs), axis=(1, 2))
-    windows = np.moveaxis(windows, 0, 2)
-
-    def fill(lo: int, hi: int) -> None:
-        # helper threads run this: only private kernels, which the traced
-        # benchmark does not wrap, so its one span stack sees no thread but
-        # the caller
-        for i in range(lo, hi, BLOCK_CHUNK):
-            j = min(i + BLOCK_CHUNK, hi)
-            tops, lefts = zip(*rects[i:j])
-            rows[i:j] = _embed(*_gaussian(windows[tops, lefts], config.ridge_scale))
-
-    split(fill, len(rects))
-    return rows.ravel()
+    rects = _block_rects(planes.shape[1:], config, keypoints)
+    return _block_features(planes, [(config, rects)])[0]
 
 
 def check_feature_fits(
@@ -219,10 +258,29 @@ def image_feature(
     image: np.ndarray,
     config: RunConfig,
     keypoints: list[tuple[float, float]] | None = None,
-    stacks: dict | None = None,
+    cache: ImageCache | None = None,
 ) -> np.ndarray:
-    """Full extraction for one image: :func:`check_feature_fits`, then
-    :func:`subbands` (sharing ``stacks``) and :func:`block_features`, each
-    split across cores (:func:`lglg.parallel.split`)."""
-    check_feature_fits(np.shape(image), config, keypoints)
-    return block_features(subbands(image, config, stacks), config, keypoints)
+    """Full extraction for one image: :func:`check_feature_fits` and the
+    block list, then :func:`subbands` and the embeddings that
+    :func:`block_features` gives, each split across cores
+    (:func:`lglg.parallel.split`).
+
+    With ``cache``, built for this image and its ``keypoints``, the first
+    call for a subband setting extracts every config the cache lists with
+    that setting, one per feature fingerprint: each is checked before the
+    image is filtered, and all their blocks go through one split. Their
+    features stay in the cache, and a later call for one returns it."""
+    cache = ImageCache([config]) if cache is None else cache
+    fingerprint = config.feature_fingerprint()
+    if fingerprint not in cache.features:
+        key = _subband_key(config)
+        group = {fingerprint: config}
+        for c in cache.configs:
+            if _subband_key(c) == key and c.feature_fingerprint() not in cache.features:
+                group.setdefault(c.feature_fingerprint(), c)
+        shape = np.shape(image)
+        for c in group.values():
+            check_feature_fits(shape, c, keypoints)
+        parts = [(c, _block_rects(shape, c, keypoints)) for c in group.values()]
+        cache.features.update(zip(group, _block_features(subbands(image, config, cache), parts)))
+    return cache.features[fingerprint]

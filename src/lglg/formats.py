@@ -32,9 +32,10 @@ MODEL_MAGIC = b"LGLG"
 # orthonormal U there and is refused like any other version
 MODEL_VERSION = 3
 
-# Magic, width, height and maxval, each after whitespace holding '#' comments
-# to the end of their line (a comment must end at '\n' or '#' runs backtrack).
-_PGM_HEADER = re.compile(rb"P5" + rb"\s(?:\s|#[^\n]*\n)*(\d+)" * 3 + rb"\s")
+# Magic, width, height and maxval, each after whitespace holding '#' comments,
+# each through the next CR or LF as pgm(5) has it (a comment must end at one,
+# or '#' runs backtrack).
+_PGM_HEADER = re.compile(rb"P5" + rb"\s(?:\s|#[^\r\n]*[\r\n])*(\d+)" * 3 + rb"\s")
 #: Bytes read for a PGM header at first: all of a small image.
 _PGM_PIECE = 4096
 
@@ -59,10 +60,11 @@ class Gallery:
 
 
 def read_text(path: str, error: type[LglgError]) -> str:
-    """The text of a UTF-8 file; bytes that are not UTF-8 raise ``error``."""
+    """The text of a UTF-8 file, without one leading byte-order mark, as
+    Excel's "CSV UTF-8" writes; bytes that are not UTF-8 raise ``error``."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import parallel
 from .config import MODE_KEYPOINT, RunConfig
-from .descriptor import image_feature
+from .descriptor import ImageCache, image_feature
 from .errors import (
     ConfigMismatch, DegenerateTrainingSet, DimensionMismatch, ExtractionError, LglgError,
     ManifestError, MissingGroundTruth, NoResults, NonFinite,
@@ -38,24 +38,24 @@ class MatchResult:
 
 
 def extract_feature(
-    path: str, config: RunConfig, keypoints_dir: str | None = None, stacks: dict | None = None
+    path: str, config: RunConfig, keypoints_dir: str | None = None, cache: ImageCache | None = None
 ) -> np.ndarray:
     """Load one image and run the full descriptor pipeline on it. Calls that
-    pass the same ``stacks`` dict for one image read it once, kept under its
-    path, and share its subband stack (:func:`lglg.descriptor.subbands`)."""
-    stacks = {} if stacks is None else stacks
+    pass the same ``cache``, built for this image, read it and its key points
+    once and share its extractions (:func:`lglg.descriptor.image_feature`)."""
+    cache = ImageCache([config]) if cache is None else cache
     try:
-        if path not in stacks:
+        if cache.image is None:
             # checked before the pixels are read: an image far over the
             # bound could fail to allocate them, or their float64 copy
             params = config.gabor_params()
-            stacks[path] = read_pgm(path, lambda shape: check_fits(shape, params)) / 255.0
-        keypoints = None
-        if config.mode == MODE_KEYPOINT:
-            if keypoints_dir is None:
-                raise ManifestError("keypoint mode requires --keypoints-dir")
-            keypoints = load_keypoints(keypoint_path(path, keypoints_dir))
-        return image_feature(stacks[path], config, keypoints=keypoints, stacks=stacks)
+            image = read_pgm(path, lambda shape: check_fits(shape, params)) / 255.0
+            if any(c.mode == MODE_KEYPOINT for c in cache.configs):
+                if keypoints_dir is None:
+                    raise ManifestError("keypoint mode requires --keypoints-dir")
+                cache.keypoints = load_keypoints(keypoint_path(path, keypoints_dir))
+            cache.image = image
+        return image_feature(cache.image, config, cache.keypoints, cache)
     except ExtractionError:
         raise
     except (LglgError, OSError) as exc:
@@ -66,10 +66,11 @@ def _extract_all(
     path: str, configs: list[RunConfig], keypoints_dir: str | None
 ) -> list[np.ndarray]:
     """:func:`extract_feature` of ``path`` under each of ``configs``, in
-    order. The image is read once, and configs with the same preprocess and
-    Gabor settings share one subband stack of it."""
-    stacks: dict = {}
-    return [extract_feature(path, config, keypoints_dir, stacks) for config in configs]
+    order, through one :class:`~lglg.descriptor.ImageCache`: the image is
+    read once, and configs with the same preprocess and Gabor settings
+    share one subband stack of it and one split of their blocks."""
+    cache = ImageCache(configs)
+    return [extract_feature(path, config, keypoints_dir, cache) for config in configs]
 
 
 def _feature_matrices(
@@ -249,11 +250,12 @@ def sweep(
     and identify every probe.
 
     Configs with the same preprocess and Gabor settings form one group, and
-    each image is preprocessed and decomposed once per group. Within it,
-    configs with the same feature fingerprint (they differ only in
-    ``k_requested``) share one feature of each image. Gallery and probes
-    are extracted as in :func:`enroll`, in ``jobs`` worker processes; each
-    row's gallery is fitted once, and each probe ranked against it."""
+    each image is preprocessed and decomposed once per group, and its
+    blocks embedded in one split. Within it, configs with the same feature
+    fingerprint (they differ only in ``k_requested``) share one feature of
+    each image. Gallery and probes are extracted as in :func:`enroll`, in
+    ``jobs`` worker processes; each row's gallery is fitted once, and each
+    probe ranked against it."""
     _check_gallery_size(gallery_records)
     if not probe_records:
         raise ManifestError("sweep needs at least one probe record")

@@ -738,9 +738,9 @@ class TestSweepSharesExtraction:
         calls = Counter()
         extract = pipeline.extract_feature
 
-        def counting(path, config, keypoints_dir=None, stacks=None):
+        def counting(path, config, keypoints_dir=None, cache=None):
             calls[path, config.feature_fingerprint()] += 1
-            return extract(path, config, keypoints_dir, stacks)
+            return extract(path, config, keypoints_dir, cache)
 
         monkeypatch.setattr(pipeline, "extract_feature", counting)
         configs = [RunConfig(block_size=b, k_requested=k)
@@ -818,14 +818,19 @@ class TestSweepSharesExtraction:
         accuracies = [line.rsplit(b",", 1)[1] for line in expected.splitlines()[1:]]
         assert len(set(accuracies)) > 1
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_keypoint_sweep_shares_subbands(self, sweep_dataset, tmp_path, decompose_calls, jobs):
+    def keypoints_dir(self, dataset, tmp_path):
+        """The same five key points for every image of ``dataset``."""
         keypoints = tmp_path / "kp"
         keypoints.mkdir()
         points = "".join(f"{x} {y}\n" for x, y in [(16, 16), (48, 20), (32, 40), (20, 50), (50, 50)])
-        for manifest in sweep_dataset:
+        for manifest in dataset:
             for rec in load_manifest(manifest):
                 (keypoints / (Path(rec.path).stem + ".txt")).write_text(points)
+        return keypoints
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keypoint_sweep_shares_subbands(self, sweep_dataset, tmp_path, decompose_calls, jobs):
+        keypoints = self.keypoints_dir(sweep_dataset, tmp_path)
         config = tmp_path / "kp.cfg"
         config.write_text(CONFIG_TEXT + "mode=keypoint\n")
         got, grid = self.run_sweep(sweep_dataset, str(config), tmp_path,
@@ -839,6 +844,19 @@ class TestSweepSharesExtraction:
         assert set(decompose_calls.values()) == {1}
         assert len(decompose_calls) == sum(in_process(len(load_manifest(m))) for m in sweep_dataset)
         assert got == reference_sweep_csv(str(config), grid, *sweep_dataset, str(keypoints))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_mode_grid_equals_reference(self, sweep_dataset, config_file, tmp_path, jobs):
+        # mode is not a subband setting: grid and keypoint rows share one
+        # group, whose first call is a grid config's
+        keypoints = str(self.keypoints_dir(sweep_dataset, tmp_path))
+        got, grid = self.run_sweep(sweep_dataset, config_file, tmp_path,
+                                   "mode=grid,keypoint\nblock_size=11,15\n", jobs,
+                                   keypoints_dir=keypoints)
+        expected = reference_sweep_csv(config_file, grid, *sweep_dataset, keypoints)
+        assert got == expected
+        accuracies = [line.rsplit(b",", 1)[1] for line in expected.splitlines()[1:]]
+        assert len(set(accuracies)) > 1
 
     def test_identify_twice_decomposes_twice(self, sweep_dataset, decompose_calls):
         gallery_records, probe_records = map(load_manifest, sweep_dataset)
@@ -862,11 +880,29 @@ class TestSweepSharesExtraction:
         path = load_manifest(sweep_dataset[0])[0].path
         configs = [RunConfig(block_size=11), RunConfig(sigma_pi=1.2), RunConfig(block_size=15)]
         pipeline._extract_all(path, configs, None)
-        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
         refs.clear()
         with pytest.raises(ExtractionError):
             pipeline._extract_all(path, configs + [RunConfig(block_size=99)], None)
-        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        assert len(refs) == 0 and all(ref() is None for ref in refs)
+
+    def test_stack_freed_when_a_later_group_fails(self, sweep_dataset, monkeypatch):
+        # the second group's block_size=99 is refused before its image is
+        # filtered, after the first group's stack was built
+        refs = []
+        decompose = descriptor.decompose
+
+        def recording(image, bank):
+            planes = decompose(image, bank)
+            refs.append(weakref.ref(planes))
+            return planes
+
+        monkeypatch.setattr(descriptor, "decompose", recording)
+        path = load_manifest(sweep_dataset[0])[0].path
+        configs = [RunConfig(block_size=11), RunConfig(sigma_pi=1.2, block_size=99)]
+        with pytest.raises(ExtractionError, match="block 99 does not fit"):
+            pipeline._extract_all(path, configs, None)
+        assert len(refs) == 1 and refs[0]() is None
 
     def test_no_probes_exits_3(self, sweep_dataset, config_file, tmp_path, capsys):
         gallery_manifest, _ = sweep_dataset

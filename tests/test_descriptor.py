@@ -11,6 +11,7 @@ from lglg import descriptor, gabor, parallel, pipeline, preprocess, spd
 from lglg.config import RunConfig
 from lglg.descriptor import (
     GaussianDescriptor,
+    ImageCache,
     block_feature,
     block_features,
     check_feature_fits,
@@ -430,25 +431,85 @@ class TestSharingSubbands:
     def test_block_settings_share_one_stack(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
         configs = [RunConfig(block_size=b, ridge_scale=r) for b in (11, 15, 21) for r in (1e-4, 0.1)]
-        stacks = {}
-        shared = [image_feature(image, c, stacks=stacks) for c in configs]
+        cache = ImageCache(configs)
+        shared = [image_feature(image, c, cache=cache) for c in configs]
         assert len(decompose_calls) == 1
         alone = [image_feature(image, c) for c in configs]
         assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
 
     def test_other_settings_recompute_and_replace_the_stack(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
-        stacks = {}
+        cache = ImageCache([])
         for sigma_pi in (1.0, 1.2, 1.0):
-            planes = subbands(image, RunConfig(sigma_pi=sigma_pi), stacks)
+            planes = subbands(image, RunConfig(sigma_pi=sigma_pi), cache)
         assert len(decompose_calls) == 3
-        assert len(stacks) == 1 and next(iter(stacks.values())) is planes
+        assert cache.planes is planes
 
     def test_no_sharing_without_a_dict(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
         image_feature(image, RunConfig())
         image_feature(image, RunConfig())
         assert len(decompose_calls) == 2
+
+
+class TestGroupSplit:
+    """The configs of one subband group that an :class:`ImageCache` lists
+    embed their blocks in one split, with the bytes that each gives alone."""
+
+    # grid and keypoint mode in one group; two configs share a fingerprint
+    CONFIGS = [RunConfig(mode=m, block_size=b, ridge_scale=r, k_requested=k)
+               for m, b, r, k in [("grid", 11, 1e-4, 5), ("keypoint", 15, 1e-4, 5),
+                                  ("grid", 15, 0.1, 5), ("keypoint", 11, 1e-4, 5),
+                                  ("grid", 11, 1e-4, 50), ("grid", 21, 1e-4, 5)]]
+    POINTS = [(float(3 * i), float(2 * i + 5)) for i in range(21)]
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """The item count of every block split."""
+        counts = []
+
+        def recording(fn, n):
+            counts.append(n)
+            return parallel.split(fn, n)
+
+        monkeypatch.setattr(descriptor, "split", recording)
+        return counts
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_one_split_same_bytes(self, rng, monkeypatch, decompose_calls, splits, cores):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        alone = [image_feature(image, c, self.POINTS).tobytes() for c in self.CONFIGS]
+        splits.clear()
+        decompose_calls.clear()
+        monkeypatch.setattr(parallel, "CORES", cores)
+        # each call's order, so the first call of the group is in grid mode
+        # and then in keypoint mode
+        for order in (self.CONFIGS, self.CONFIGS[::-1]):
+            cache = ImageCache(order)
+            shared = [image_feature(image, c, self.POINTS, cache).tobytes() for c in order]
+            assert shared == [alone[self.CONFIGS.index(c)] for c in order]
+            assert len(cache.features) == 5
+        # 25 + 21 + 16 + 21 + 9 blocks: the 50-component config's feature is
+        # its 5-component twin's
+        assert splits == [92, 92] and len(decompose_calls) == 2
+
+    def test_configs_checked_before_filtering(self, rng, decompose_calls, splits):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        configs = [RunConfig(block_size=11), RunConfig(block_size=15, mode="keypoint")]
+        with pytest.raises(KeypointError):
+            image_feature(image, configs[0], None, ImageCache(configs))
+        configs[1] = RunConfig(block_size=65)
+        with pytest.raises(BlockTooLarge):
+            image_feature(image, configs[0], None, ImageCache(configs))
+        assert decompose_calls == [] and splits == []
+
+    def test_other_groups_split_on_their_own(self, rng, decompose_calls, splits):
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        configs = [RunConfig(block_size=11), RunConfig(sigma_pi=1.2), RunConfig(block_size=21)]
+        cache = ImageCache(configs)
+        shared = [image_feature(image, c, cache=cache) for c in configs]
+        assert splits == [25 + 9, 16] and len(decompose_calls) == 2
+        assert all(np.array_equal(f, image_feature(image, c)) for f, c in zip(shared, configs))
 
 
 class TestMemosKeepBytes:

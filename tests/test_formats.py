@@ -2,6 +2,7 @@
 header regex agrees with a hand-written tokenizer on valid headers."""
 
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -11,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglg.errors import KeypointError, LglgError, ManifestError
-from lglg.formats import load_keypoints, load_manifest, read_pgm, write_pgm
+from lglg.config import RunConfig
+from lglg.errors import ConfigError, KeypointError, LglgError, ManifestError
+from lglg.formats import (
+    ManifestRecord, load_config, load_keypoints, load_manifest, parse_grid_file, read_pgm,
+    write_pgm,
+)
 
 
 def reference_read_pgm(data: bytes) -> np.ndarray:
@@ -23,7 +28,7 @@ def reference_read_pgm(data: bytes) -> np.ndarray:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
+            while pos < len(data) and data[pos : pos + 1] not in (b"\r", b"\n"):
                 pos += 1
             continue
         start = pos
@@ -38,8 +43,9 @@ def reference_read_pgm(data: bytes) -> np.ndarray:
 
 WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
 COMMENT = st.builds(
-    lambda text: b"#" + text + b"\n",
-    st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"")),
+    lambda text, end: b"#" + text + end,
+    st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+    st.sampled_from([b"\n", b"\r"]),
 )
 SEPARATOR = st.builds(lambda first, rest: first + b"".join(rest),
                       WHITESPACE, st.lists(st.one_of(WHITESPACE, COMMENT), max_size=4))
@@ -148,6 +154,14 @@ class TestPgmRead:
         p.write_bytes(data)
         assert np.array_equal(read_pgm(str(p)), reference_read_pgm(data))
 
+    def test_comments_end_at_cr(self, tmp_path):
+        # pgm(5): a comment runs through the next carriage return or newline
+        data = b"P5\r# tool\r4 4\r255\r" + bytes(range(16))
+        p = tmp_path / "i.pgm"
+        p.write_bytes(data)
+        assert np.array_equal(read_pgm(str(p)), np.arange(16, dtype=np.uint8).reshape(4, 4))
+        assert np.array_equal(read_pgm(str(p)), reference_read_pgm(data))
+
     def test_reads_a_pipe(self, tmp_path, rng):
         # fstat gives a pipe no size; 90 000 pixels span several pipe buffers
         image = rng.integers(0, 256, (300, 300), dtype=np.uint8)
@@ -177,6 +191,39 @@ class TestNotUtf8:
         p.write_bytes(b"1 2\n3 \xff\n")
         with pytest.raises(KeypointError, match=f"{p}: not UTF-8"):
             load_keypoints(str(p))
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes it,
+    is not part of a text file's first line."""
+
+    BOM = "\ufeff".encode()
+
+    def test_manifest(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.BOM + b"path,subject_id,subset\na.pgm,s1,g\n")
+        assert load_manifest(str(p)) == [ManifestRecord("a.pgm", "s1", "g")]
+
+    def test_config(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(self.BOM + b"block_size=11\n")
+        assert load_config(str(p)) == RunConfig(block_size=11)
+
+    def test_grid(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_bytes(self.BOM + b"block_size=11,15\n")
+        assert parse_grid_file(str(p)) == [("block_size", [11, 15])]
+
+    def test_keypoints(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_bytes(self.BOM + b"1 2\n3 4\n")
+        assert load_keypoints(str(p)) == [(1.0, 2.0), (3.0, 4.0)]
+
+    def test_only_one_mark(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(2 * self.BOM + b"block_size=11\n")
+        with pytest.raises(ConfigError, match=re.escape(r"unknown key '\ufeffblock_size'")):
+            load_config(str(p))
 
 
 class TestArbitraryBytes:
