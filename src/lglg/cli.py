@@ -21,7 +21,7 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 #: Most rows a sweep grid may give. Each row fits a model and ranks every
-#: probe (about 0.2 s a row on the 64x64 benchmark), so a larger grid is a
+#: probe (about 0.15 s a row on the 64x64 benchmark), so a larger grid is a
 #: mistake, and its configs alone take about 300 bytes a row: gigabytes
 #: from 10**7 rows.
 MAX_GRID_ROWS = 10_000

@@ -1,11 +1,12 @@
 """Per-block Gaussian descriptors and the concatenated image feature.
 
-A preprocessed image is Gabor-decomposed once into a subband stack; blocks
-(regular grid or keypoint-centred) index into it, each block yielding a
-Gaussian over its per-pixel subband-magnitude vectors, embedded into flat
-space and half-vectorized. Configs that differ only in block settings
-share one stack of an image, and one split of their blocks, through the
-:class:`ImageCache` that the caller builds for that image.
+A preprocessed image is Gabor-decomposed once into a subband stack, inside
+the box that its blocks cover; blocks (regular grid or keypoint-centred)
+index into it, each block yielding a Gaussian over its per-pixel
+subband-magnitude vectors, embedded into flat space and half-vectorized.
+Configs that differ only in block settings share one stack of an image,
+and one split of their blocks, through the :class:`ImageCache` that the
+caller builds for that image.
 
 :func:`block_features` splits an image's block list across cores once;
 OpenBLAS runs one thread throughout (:mod:`lglg.parallel`). The helper
@@ -20,6 +21,7 @@ them, and perfbench wraps the first two by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -52,9 +54,10 @@ class ImageCache:
     """What the extractions of one image under ``configs`` share. The
     caller builds it for the image, fills in ``image`` and ``keypoints``
     once, and passes it to each extraction. :func:`subbands` keeps one
-    subband stack in it, ``planes`` under ``subband_key``, and a new stack
-    replaces it; :func:`image_feature` keeps the ``features`` it computed,
-    by feature fingerprint, those of later calls among them."""
+    subband stack in it, ``planes`` under ``subband_key`` (its settings and
+    window), and a new stack replaces it; :func:`image_feature` keeps the
+    ``features`` it computed, by feature fingerprint, those of later calls
+    among them."""
 
     configs: list[RunConfig]
     image: np.ndarray | None = None
@@ -83,12 +86,15 @@ def keypoint_blocks(
 ) -> list[tuple[int, int]]:
     """One block per keypoint, centred on it and minimally translated to fit
     inside the image. Points are (x, y) pixel coordinates; returned corners
-    are (top, left)."""
+    are (top, left). A point that is NaN or infinite raises
+    :class:`KeypointError`."""
     h, w = image_shape
     if block_size > min(h, w):
         raise BlockTooLarge(f"block {block_size} does not fit in image {image_shape}")
     rects = []
     for x, y in keypoints:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise KeypointError(f"non-finite key point ({x}, {y})")
         top = int(round(y)) - block_size // 2
         left = int(round(x)) - block_size // 2
         top = min(max(top, 0), h - block_size)
@@ -149,20 +155,27 @@ def _subband_key(config: RunConfig) -> tuple:
     return config.preprocess_params(), config.gabor_params()
 
 
-def subbands(image: np.ndarray, config: RunConfig, cache: ImageCache | None = None) -> np.ndarray:
-    """Preprocess, then Gabor-decompose: the (d, h, w) magnitude stack. It
-    depends only on ``config.preprocess_params()`` and
-    ``config.gabor_params()``; block settings act after it.
+def subbands(
+    image: np.ndarray,
+    config: RunConfig,
+    cache: ImageCache | None = None,
+    window: tuple[int, int, int, int] | None = None,
+) -> np.ndarray:
+    """Preprocess, then Gabor-decompose: the (d, h, w) magnitude stack of
+    the image, or of its (top, left, bottom, right) ``window``
+    (:func:`lglg.gabor.decompose`). It depends only on
+    ``config.preprocess_params()``, ``config.gabor_params()`` and the
+    window; block settings act after it.
 
-    A repeat call with the same settings and ``cache`` returns the stack
-    kept in it, and a new stack replaces the kept one."""
-    pre_params, gabor_params = key = _subband_key(config)
+    A repeat call with the same settings, window and ``cache`` returns the
+    stack kept in it, and a new stack replaces the kept one."""
+    pre_params, gabor_params, _ = key = (*_subband_key(config), window)
     if cache is not None and cache.subband_key == key:
         return cache.planes
     # before the image is preprocessed or the bank built, which a large
     # image or window_len would allocate first
     check_fits(np.shape(image), gabor_params)
-    planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params))
+    planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params), window=window)
     if cache is not None:
         cache.subband_key, cache.planes = key, planes
     return planes
@@ -180,6 +193,18 @@ def _block_rects(
         rects = partition_blocks(shape, config.block_size)
     _check_samples(config.block_size**2)
     return rects
+
+
+def _union_window(
+    shape: tuple[int, int], parts: list[tuple[RunConfig, list[tuple[int, int]]]]
+) -> tuple[int, int, int, int]:
+    """The (top, left, bottom, right) box around every block of ``parts`` in
+    an image of ``shape``; the whole image when they have no block."""
+    boxes = [(t, l, t + c.block_size, l + c.block_size) for c, rects in parts for t, l in rects]
+    if not boxes:
+        return (0, 0, *shape)
+    tops, lefts, bottoms, rights = zip(*boxes)
+    return min(tops), min(lefts), max(bottoms), max(rights)
 
 
 def _block_features(
@@ -261,15 +286,17 @@ def image_feature(
     cache: ImageCache | None = None,
 ) -> np.ndarray:
     """Full extraction for one image: :func:`check_feature_fits` and the
-    block list, then :func:`subbands` and the embeddings that
-    :func:`block_features` gives, each split across cores
-    (:func:`lglg.parallel.split`).
+    block list, then :func:`subbands` of the window around the blocks and
+    the embeddings that :func:`block_features` gives, each split across
+    cores (:func:`lglg.parallel.split`). The feature is that of the whole
+    image's planes, bit for bit.
 
     With ``cache``, built for this image and its ``keypoints``, the first
     call for a subband setting extracts every config the cache lists with
     that setting, one per feature fingerprint: each is checked before the
-    image is filtered, and all their blocks go through one split. Their
-    features stay in the cache, and a later call for one returns it."""
+    image is filtered, the window covers all their blocks, and all their
+    blocks go through one split. Their features stay in the cache, and a
+    later call for one returns it."""
     cache = ImageCache([config]) if cache is None else cache
     fingerprint = config.feature_fingerprint()
     if fingerprint not in cache.features:
@@ -282,5 +309,10 @@ def image_feature(
         for c in group.values():
             check_feature_fits(shape, c, keypoints)
         parts = [(c, _block_rects(shape, c, keypoints)) for c in group.values()]
-        cache.features.update(zip(group, _block_features(subbands(image, config, cache), parts)))
+        # filter only the box the blocks read; corners move to its origin
+        window = _union_window(shape, parts)
+        top, left = window[:2]
+        parts = [(c, [(t - top, l - left) for t, l in rects]) for c, rects in parts]
+        planes = subbands(image, config, cache, window=window)
+        cache.features.update(zip(group, _block_features(planes, parts)))
     return cache.features[fingerprint]

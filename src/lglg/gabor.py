@@ -3,11 +3,14 @@
 :func:`decompose` filters by FFT: one real FFT of the padded image, times
 each kernel part's cached spectrum (:func:`kernel_spectra`, at the size
 :func:`fft_shape` gives), then the inverse FFT and one ``hypot`` per
-kernel. The products go through the inverse FFT in stacks of kernel parts
-of at most ``STACK_BYTES``, so small images make few, large numpy calls
-and large ones keep each call's buffers within the cache. The planes are
-bitwise those of two ``scipy.signal.fftconvolve`` calls per kernel,
-whatever the stacks and the thread split.
+kernel. Only a window of the planes is computed, the box that the blocks
+read: the row inverse runs on its rows alone, with 1/N applied inside it,
+and ``hypot`` reads its columns. The products go through the inverse FFT
+in stacks of kernel parts of at most ``STACK_BYTES``, so small images make
+few, large numpy calls and large ones keep each call's buffers within the
+cache. The planes are bitwise those of two ``scipy.signal.fftconvolve``
+calls per kernel, cut to the window, whatever the window, the stacks and
+the thread split.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
-from .errors import ConfigError, ImageTooLarge, ImageTooSmall
+from .errors import ConfigError, ImageTooLarge, ImageTooSmall, LglgError
 from .parallel import split
 from .preprocess import symmetric_index
 
@@ -26,9 +30,12 @@ from .preprocess import symmetric_index
 #: inverse FFT call: a stack holds the most whole kernels whose two parts
 #: fit, or, where one kernel's parts do not, one part. Each part of an
 #: (F0, F1) FFT takes F0*(F1//2 + 1)*16 bytes: 52 KB at 64x64, so a call
-#: takes 4 parts, and from 168 KB at 128x128 one part. On one thread of a
-#: 2-vCPU VM (2 MB L2 per core), 384 and 512 KB budgets made a 64x64
-#: decompose 5 % and 22 % slower than 256 KB, and 512 KB a 48x48 one 45 %.
+#: takes 4 parts, and from 168 KB at 128x128 one part. Each thread keeps
+#: its product and column-inverse buffers of one call's parts, and its
+#: row-inverse buffer of one stack's window rows, for all of its stacks.
+#: On one thread of a 2-vCPU VM (2 MB L2 per core), 384 and 512 KB
+#: budgets made a 64x64 decompose 5 % and 22 % slower than 256 KB, and
+#: 512 KB a 48x48 one 45 % (measured before the window and the buffers).
 STACK_BYTES = 256 * 1024
 
 #: Largest bank a config or model file may ask for; the paper's is 8x5 and
@@ -55,6 +62,11 @@ MAX_FILTER_BYTES = 2**31
 #: ``sigma**2`` rounds to 0.
 SHAPE_RANGE_PI = (1e-3, 1e3)
 MAX_SPACING = 16.0
+
+#: The gufunc ``np.fft.irfft`` calls, ``irfft(a, scale, axes=...)``: the
+#: inverse real FFT of each vector along an axis, times ``scale``, which
+#: is where ``scipy.fft.irfftn`` applies 1/N.
+_irfft = _pocketfft_umath.irfft
 
 
 @dataclass(frozen=True)
@@ -224,17 +236,26 @@ def check_fits(image_shape: tuple[int, ...], params: GaborParams) -> None:
         )
 
 
-def decompose(image: np.ndarray, bank: GaborBank) -> np.ndarray:
-    """Magnitude subbands of an image: shape (U*V, H, W).
+def decompose(
+    image: np.ndarray, bank: GaborBank, window: tuple[int, int, int, int] | None = None
+) -> np.ndarray:
+    """Magnitude subbands of an image inside ``window``, a (top, left,
+    bottom, right) box in image coordinates, the whole image by default:
+    shape (U*V, bottom - top, right - left). An empty, reversed or
+    out-of-image window raises :class:`LglgError`.
 
-    Filtering is same-size with reflect padding. :func:`decompose_direct`
-    is its oracle.
+    Filtering is same-size with reflect padding. Each plane equals that of
+    the whole image cut to the window, bit for bit; :func:`decompose_direct`
+    is the oracle of the whole image.
 
-    One real FFT of the padded image is multiplied by each cached kernel
-    spectrum. The products go through the inverse FFT in stacks of kernel
-    parts, as many as fit in ``STACK_BYTES`` (at least one), one call per
-    pass, and one ``hypot`` per stack writes its planes.
-    The FFTs go through ``numpy.fft``; FFT length, product order,
+    One real FFT of the whole padded image is multiplied by each cached
+    kernel spectrum. The products go through the inverse FFT in stacks of
+    kernel parts, as many as fit in ``STACK_BYTES`` (at least one), one
+    call per pass: columns, then only the window's rows, with 1/N applied
+    inside the row inverse. One ``hypot`` per stack reads the window's
+    columns into its planes. Each thread reuses one set of buffers for
+    these passes across its stacks.
+    The FFTs go through numpy's pocketfft; FFT length, product order,
     normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
     plane stays bitwise equal to two such convolutions.
@@ -244,40 +265,44 @@ def decompose(image: np.ndarray, bank: GaborBank) -> np.ndarray:
     """
     image = np.asarray(image, dtype=np.float64)
     check_fits(image.shape, bank.params)
-    wl = bank.params.window_len
     h, w = image.shape
+    top, left, bottom, right = (0, 0, h, w) if window is None else window
+    if not (0 <= top < bottom <= h and 0 <= left < right <= w):
+        raise LglgError(f"window {window} is not a non-empty box inside image {image.shape}")
+    wl = bank.params.window_len
     r = (wl - 1) // 2
     padded = image.take(symmetric_index(h, r), axis=0).take(symmetric_index(w, r), axis=1)
-    planes = np.empty((len(bank.kernels), *image.shape))
+    planes = np.empty((len(bank.kernels), bottom - top, right - left))
     fshape = fft_shape(image.shape, wl)
     spectrum = np.fft.rfftn(padded, fshape, axes=(0, 1))
-    valid = (slice(wl - 1, wl - 1 + h), slice(wl - 1, wl - 1 + w))
+    # fftconvolve's "valid" output starts at wl - 1 on each axis
+    rows = slice(wl - 1 + top, wl - 1 + bottom)
+    cols = slice(wl - 1 + left, wl - 1 + right)
     spectra = kernel_spectra(bank.params, fshape)
     parts = spectra.reshape(-1, *spectrum.shape)  # kernel p's parts at 2p, 2p + 1
+    # scipy's backward norm: one multiply by 1/N in the last pass (numpy's
+    # default norm scales once per axis); 1/N rounded from double equals
+    # scipy's from long double for every 5-smooth N up to 1e12
     scale = 1.0 / (fshape[0] * fshape[1])
     part = spectrum.nbytes  # one kernel part's product
     kernels = max(1, STACK_BYTES // (2 * part))  # per stack
     per_call = 2 * kernels if 2 * part <= STACK_BYTES else 1  # parts
 
-    def inverse(product: np.ndarray, out: np.ndarray) -> None:
-        # The two passes of an unscaled inverse real FFT over the last two
-        # axes: columns, then each row on its own, so only the rows that
-        # `valid` keeps. Then one multiply by 1/N, as scipy's backward norm
-        # does (numpy's default norm scales once per axis); 1/N rounded
-        # from double equals scipy's from long double for every 5-smooth N
-        # up to 1e12.
-        rows = np.fft.ifft(product, axis=-2, norm="forward")[..., valid[0], :]
-        np.multiply(np.fft.irfft(rows, fshape[1], axis=-1, norm="forward")[..., valid[1]],
-                    scale, out=out)
-
     def filter_planes(lo: int, hi: int) -> None:
-        out = np.empty((2 * min(kernels, hi - lo), h, w))
+        stack = 2 * min(kernels, hi - lo)
+        product = np.empty((min(per_call, stack), *spectrum.shape), dtype=spectrum.dtype)
+        columns = np.empty_like(product)
+        inverse = np.empty((stack, bottom - top, fshape[1]))
         for p in range(lo, hi, kernels):
             n = 2 * (min(p + kernels, hi) - p)
             for i in range(0, n, per_call):
                 j = min(i + per_call, n)
-                inverse(spectrum * parts[2 * p + i : 2 * p + j], out[i:j])
-            np.hypot(out[0:n:2], out[1:n:2], out=planes[p : p + n // 2])
+                np.multiply(spectrum, parts[2 * p + i : 2 * p + j], out=product[: j - i])
+                # the two passes of the inverse real FFT over the last two
+                # axes: columns unscaled, then each kept row on its own
+                np.fft.ifft(product[: j - i], axis=-2, norm="forward", out=columns[: j - i])
+                _irfft(columns[: j - i, rows], scale, axes=[(-1,), (), (-1,)], out=inverse[i:j])
+            np.hypot(inverse[0:n:2, :, cols], inverse[1:n:2, :, cols], out=planes[p : p + n // 2])
 
     split(filter_planes, len(planes))
     return planes

@@ -770,9 +770,9 @@ class TestSweepSharesExtraction:
         calls = Counter()
         decompose = descriptor.decompose
 
-        def counting(image, bank):
+        def counting(image, bank, window=None):
             calls[image.tobytes(), bank.params] += 1
-            return decompose(image, bank)
+            return decompose(image, bank, window=window)
 
         monkeypatch.setattr(descriptor, "decompose", counting)
         return calls
@@ -871,8 +871,8 @@ class TestSweepSharesExtraction:
         refs = []
         decompose = descriptor.decompose
 
-        def recording(image, bank):
-            planes = decompose(image, bank)
+        def recording(image, bank, window=None):
+            planes = decompose(image, bank, window=window)
             refs.append(weakref.ref(planes))
             return planes
 
@@ -892,8 +892,8 @@ class TestSweepSharesExtraction:
         refs = []
         decompose = descriptor.decompose
 
-        def recording(image, bank):
-            planes = decompose(image, bank)
+        def recording(image, bank, window=None):
+            planes = decompose(image, bank, window=window)
             refs.append(weakref.ref(planes))
             return planes
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -76,6 +77,13 @@ class TestKeypointBlocks:
     def test_block_too_large(self):
         with pytest.raises(BlockTooLarge):
             keypoint_blocks((20, 20), [(10.0, 10.0)], 22)
+
+    @pytest.mark.parametrize("point", [(math.inf, 3.0), (3.0, math.nan)], ids=["inf", "nan"])
+    def test_non_finite_point_refused(self, point):
+        # library callers reach it without load_keypoints, which refuses
+        # these too
+        with pytest.raises(KeypointError, match=re.escape(f"non-finite key point {point}")):
+            image_feature(np.zeros((64, 64)), RunConfig(mode="keypoint"), [(5.0, 5.0), point])
 
 
 class TestLoadKeypoints:
@@ -416,12 +424,13 @@ class TestBlockBytesAcrossSplitsAndBlasThreads:
 
 @pytest.fixture
 def decompose_calls(monkeypatch):
-    """Records the Gabor settings of every ``descriptor.decompose`` call."""
+    """Records the Gabor settings and window of every ``descriptor.decompose``
+    call."""
     calls = []
 
-    def counting(image, bank):
-        calls.append(bank.params)
-        return decompose(image, bank)
+    def counting(image, bank, window=None):
+        calls.append((bank.params, window))
+        return decompose(image, bank, window=window)
 
     monkeypatch.setattr(descriptor, "decompose", counting)
     return calls
@@ -450,6 +459,51 @@ class TestSharingSubbands:
         image_feature(image, RunConfig())
         image_feature(image, RunConfig())
         assert len(decompose_calls) == 2
+
+
+class TestUnionWindow:
+    """Extraction filters only the box around the blocks it reads, with the
+    feature bytes of the whole image's planes."""
+
+    def test_default_grid_box(self, rng, decompose_calls):
+        # 15-px blocks of a 64² image cover rows and columns 2-61
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        config = RunConfig()
+        feature = image_feature(image, config)
+        assert decompose_calls == [(config.gabor_params(), (2, 2, 62, 62))]
+        assert feature.tobytes() == block_features(subbands(image, config), config).tobytes()
+
+    def test_sweep_group_box(self, rng, decompose_calls):
+        # sweep64's block sizes: 11 covers rows and columns 4-58, 15 covers
+        # 2-61 and 21 covers 0-62
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        configs = [RunConfig(block_size=b, k_requested=k) for b in (11, 15, 21) for k in (5, 50)]
+        cache = ImageCache(configs)
+        features = [image_feature(image, c, cache=cache) for c in configs]
+        assert decompose_calls == [(configs[0].gabor_params(), (0, 0, 63, 63))]
+        whole = subbands(image, configs[0])
+        for c, f in zip(configs, features):
+            assert f.tobytes() == block_features(whole, c).tobytes(), c.block_size
+
+    def test_other_box_filters_again(self, rng, decompose_calls):
+        # a config the cache does not list, with its settings but its own box
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        wide, narrow = RunConfig(block_size=21), RunConfig(block_size=11)
+        cache = ImageCache([wide])
+        image_feature(image, wide, cache=cache)
+        feature = image_feature(image, narrow, cache=cache)
+        assert [w for _, w in decompose_calls] == [(0, 0, 63, 63), (4, 4, 59, 59)]
+        assert feature.tobytes() == image_feature(image, narrow).tobytes()
+
+    def test_keypoint_box(self, rng, decompose_calls):
+        # clamped and overlapping windows of 15: rows 0-29, columns 11-63
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        config = RunConfig(mode="keypoint", block_size=15)
+        points = [(70.0, -2.0), (17.5, 12.0), (30.0, 22.0)]
+        feature = image_feature(image, config, points)
+        assert decompose_calls == [(config.gabor_params(), (0, 11, 30, 64))]
+        whole = subbands(image, config)
+        assert feature.tobytes() == block_features(whole, config, points).tobytes()
 
 
 class TestGroupSplit:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from lglg import gabor, parallel
 from lglg.config import RunConfig
-from lglg.descriptor import image_feature
-from lglg.errors import ConfigError, ImageTooSmall
+from lglg.descriptor import image_feature, keypoint_blocks, partition_blocks
+from lglg.errors import ConfigError, ImageTooSmall, LglgError
 from lglg.gabor import GaborParams, build_bank, decompose, decompose_direct
 
 
@@ -182,6 +183,65 @@ class TestDecomposeBitwise:
         bank = build_bank(params)
         for image in (rng.uniform(0.0, 1.0, shape), 3.0 * rng.standard_normal(shape)):
             assert np.array_equal(decompose(image, bank), fftconvolve_reference(image, bank))
+
+
+def union_box(rects, block_size):
+    """(top, left, bottom, right) around the blocks at these corners."""
+    tops, lefts = zip(*rects)
+    return min(tops), min(lefts), max(tops) + block_size, max(lefts) + block_size
+
+
+class TestDecomposeWindow:
+    """A window's planes are the whole image's cut to it, byte for byte,
+    whatever the cores and the stacks."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (100, 81)])
+    @pytest.mark.parametrize(
+        "params", [GaborParams(), GaborParams(directions=5, scales=3)], ids=["8x4-w9", "5x3-w9"]
+    )
+    def test_window_equals_whole_image_cut(self, rng, monkeypatch, shape, params):
+        bank = build_bank(params)
+        image = rng.uniform(0.0, 1.0, shape)
+        h, w = shape
+        monkeypatch.setattr(parallel, "CORES", 1)
+        whole = decompose(image, bank)
+        # the grid's box at each block size, the box of key points some of
+        # which clamp at the edges, and the far 1x1 corner
+        windows = [union_box(partition_blocks(shape, bs), bs) for bs in (7, 11, 15, 21)]
+        points = [(-3.0, 5.0), (w / 2, h + 4.0), (12.5, 20.0)]
+        windows += [union_box(keypoint_blocks(shape, points, 11), 11), (h - 1, w - 1, h, w)]
+        for t, l, b, r in windows:
+            cut = whole[:, t:b, l:r].tobytes()
+            for cores in (1, 2, 3):
+                for stack_bytes in (0, gabor.STACK_BYTES, 2**40):
+                    monkeypatch.setattr(parallel, "CORES", cores)
+                    monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
+                    planes = decompose(image, bank, window=(t, l, b, r))
+                    assert planes.shape == (params.num_subbands, b - t, r - l)
+                    assert planes.tobytes() == cut, ((t, l, b, r), cores, stack_bytes)
+
+    @pytest.mark.parametrize(
+        "window", [(5, 5, 5, 20), (5, 5, 20, 5), (20, 5, 10, 30), (5, 30, 40, 10),
+                   (-1, 0, 10, 10), (0, 0, 65, 64), (0, 0, 64, 65)],
+        ids=["no-rows", "no-cols", "rows-reversed", "cols-reversed", "above", "below", "right"],
+    )
+    def test_bad_window_refused(self, window):
+        with pytest.raises(LglgError, match=re.escape(f"window {window}")):
+            decompose(np.zeros((64, 64)), build_bank(GaborParams()), window=window)
+
+    @pytest.mark.parametrize("fshape", [(108, 54), (80, 80), (75, 135), (288, 288)])
+    def test_scaled_row_inverse_equals_numpy_irfft(self, rng, fshape):
+        # decompose's row inverse calls the private gufunc that np.fft.irfft
+        # calls, with 1/N as its scale: it must equal the public call times
+        # 1/N, on strided rows as decompose passes them
+        n = fshape[1]
+        x = rng.standard_normal((3, 20, n // 2 + 1)) + 1j * rng.standard_normal((3, 20, n // 2 + 1))
+        rows = x[:, 2:17]
+        scale = 1.0 / (fshape[0] * fshape[1])
+        out = np.empty((3, 15, n))
+        gabor._irfft(rows, scale, axes=[(-1,), (), (-1,)], out=out)
+        public = np.multiply(np.fft.irfft(rows, n, axis=-1, norm="forward"), scale)
+        assert out.tobytes() == public.tobytes()
 
 
 class TestNextFastLen:
