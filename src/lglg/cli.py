@@ -104,8 +104,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes that extract images (default: one per core of the "
-                        "CPU affinity; 1 extracts in this process)")
+                   help="worker processes that extract images, in ranges of a few each, and "
+                        "project and z-score each probe they extract (default: one per core of "
+                        "the CPU affinity; 1 does all of it in this process)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,8 +11,11 @@ in process-pool workers.
 
 A batch of images goes through :func:`imap`: the first here, the rest on
 ``jobs`` one-thread worker processes forked after it, which share what it
-built (the kernel bank, its spectra and numpy's FFT plans) copy-on-write;
-:func:`check_jobs` is the one rule for ``jobs``.
+built (the kernel bank, its spectra and numpy's FFT plans) copy-on-write.
+They inherit the function and its arguments through the fork too, so
+neither is pickled and the function may be a closure. A task is a range
+of item indices, and only its results come back. :func:`check_jobs` is
+the one rule for ``jobs``.
 
 One image's extraction splits its Gabor subbands, and then its block list,
 across the cores of the process's CPU affinity with :func:`split`, once
@@ -30,14 +33,14 @@ import ctypes
 import glob
 import os
 import threading
+import traceback
 from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from itertools import repeat
 from typing import TypeVar
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ExtractionError
 
 T = TypeVar("T")
 
@@ -78,11 +81,54 @@ def check_jobs(jobs: int | None) -> None:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
 
 
-def _one_core() -> None:
-    """Process-pool initializer: each of N workers extracts on one thread,
-    so that N workers do not oversubscribe the cores."""
-    global CORES
+#: Most items in one range of :func:`imap`: a range's results come back
+#: together, once its last item is done.
+RANGE_ITEMS = 8
+
+#: ``(fn, items, args)`` of the :func:`imap` call that forked this pool
+#: worker; None in every other process.
+_work: tuple | None = None
+
+
+def _start_worker(fn: Callable, items: list, args: tuple) -> None:
+    """Process-pool initializer: keep the call's work, inherited through
+    the fork, and extract on one thread, so that N workers do not
+    oversubscribe the cores."""
+    global CORES, _work
     CORES = 1
+    _work = fn, items, args
+
+
+class WorkerTraceback(Exception):
+    """The cause :func:`imap` gives an exception raised in a pool worker:
+    its traceback there, as text."""
+
+
+def _run_range(lo: int, hi: int) -> tuple[list, Exception | None, str | None]:
+    """``fn(item, *args)`` for ``items[lo:hi]`` of this worker's call, in
+    order, up to the first that raises: the results before it, and its
+    exception and traceback, or None and None."""
+    fn, items, args = _work
+    done = []
+    try:
+        for item in items[lo:hi]:
+            done.append(fn(item, *args))
+    except Exception as exc:
+        return done, exc, traceback.format_exc()
+    return done, None, None
+
+
+def _ranges(n: int, jobs: int) -> list[tuple[int, int]]:
+    """Contiguous ranges that cover ``range(1, n)``, in order. Each holds
+    half a worker's share of the items left where it starts, rounded up, and
+    at most :data:`RANGE_ITEMS`: few tasks to send while many items are
+    left, and ranges of one item at the end, so that a worker that runs slow
+    holds up only its last item."""
+    bounds = [1]
+    while bounds[-1] < n:
+        left = n - bounds[-1]
+        bounds.append(bounds[-1] + min(RANGE_ITEMS, -(-left // (2 * jobs))))
+    return list(zip(bounds, bounds[1:]))
 
 
 def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator[T]:
@@ -91,8 +137,14 @@ def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator
     only once the first is done, and at most one per item left and per core
     of the CPU affinity (``None``: one per core; below 1: :func:`check_jobs`
     refuses it). At one job, with one core in the affinity, or with at most
-    one item left, they all run here, each free to :func:`split`. Closing the
-    iterator early cancels the items not yet started."""
+    one item left, they all run here, each free to :func:`split`.
+
+    Workers inherit ``fn``, ``items`` and ``args`` through the fork, and
+    take the items left in the ranges of :func:`_ranges`. A range stops at
+    its first exception, which is raised here after the results before it.
+    A worker that dies, killed by a signal or out of memory, raises
+    :class:`ExtractionError` naming the first item of a range it lost.
+    Closing the iterator early cancels the ranges not yet started."""
     check_jobs(jobs)
     jobs = min(AFFINITY if jobs is None else jobs, len(items) - 1, AFFINITY)
     if jobs <= 1:
@@ -104,12 +156,30 @@ def imap(fn: Callable[..., T], items: list, *args, jobs: int | None) -> Iterator
     # about 15 ms of a cold start that runs no pool
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # fork on every Python version: workers start from this process's state
     # and never re-run the caller's script, which then needs no __main__ guard
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=fork, initializer=_one_core) as pool:
-        yield from pool.map(fn, items[1:], *map(repeat, args))
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=fork, initializer=_start_worker,
+                             initargs=(fn, items, args)) as pool:
+        # by the first item of each range, in order; each is dropped once
+        # read, so this holds the results of no range already yielded
+        futures: dict[int, Future] = {}
+        try:
+            for lo, hi in _ranges(len(items), jobs):
+                futures[lo] = pool.submit(_run_range, lo, hi)
+            for lo in list(futures):
+                done, error, trace = futures.pop(lo).result()
+                yield from done
+                if error is not None:
+                    error.__cause__ = WorkerTraceback(trace)
+                    raise error
+        except BrokenProcessPool as exc:
+            raise ExtractionError(str(items[lo]), exc) from exc
+        finally:
+            for future in futures.values():
+                future.cancel()
 
 
 #: Parked helpers, one single-thread executor each: range i of a split goes

@@ -139,32 +139,53 @@ def enroll(
     )
 
 
-def rank(
-    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str | None = None
-) -> MatchResult:
-    """Rank all gallery entries by Euclidean distance to ``feature``, the
-    probe's feature extracted under the gallery's config.
+@contextlib.contextmanager
+def _matching(probe_path: str):
+    """Raise :class:`NonFinite` naming the probe where a product overflows:
+    a model file may hold finite values that do."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NonFinite(
+                f"{probe_path}: matching overflows ({exc}); the model holds extreme values"
+            ) from exc
 
-    Ties are broken by gallery insertion order (stable sort)."""
+
+def standardize(gallery: Gallery, feature: np.ndarray, probe_path: str) -> np.ndarray:
+    """The first step of :func:`rank`: the probe's ``feature``, extracted
+    under the gallery's config, projected by its model and z-scored."""
     if feature.size != gallery.model.input_dim:
         raise DimensionMismatch(
             f"{probe_path}: feature length {feature.size}, the gallery's is "
             f"{gallery.model.input_dim} (probe and gallery images differ in size or "
             "key-point count?)"
         )
-    # a model file may hold finite values whose products overflow
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            z = zscore(project(gallery.model, feature))
-            dists = np.linalg.norm(gallery.features - z, axis=1)
-        except FloatingPointError as exc:
-            raise NonFinite(
-                f"{probe_path}: matching overflows ({exc}); the model holds extreme values"
-            ) from exc
+    with _matching(probe_path):
+        return zscore(project(gallery.model, feature))
+
+
+def match(
+    gallery: Gallery, z: np.ndarray, probe_path: str, true_subject: str | None = None
+) -> MatchResult:
+    """The second step of :func:`rank`: all gallery entries by Euclidean
+    distance to the standardized probe ``z``. Ties are broken by gallery
+    insertion order (stable sort)."""
+    with _matching(probe_path):
+        dists = np.linalg.norm(gallery.features - z, axis=1)
     order = np.argsort(dists, kind="stable")
     ids = gallery.subject_ids
     ranking = [(ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
     return MatchResult(probe=probe_path, ranking=ranking, true_subject=true_subject)
+
+
+def rank(
+    gallery: Gallery, feature: np.ndarray, probe_path: str, true_subject: str | None = None
+) -> MatchResult:
+    """Rank all gallery entries by Euclidean distance to ``feature``, the
+    probe's feature extracted under the gallery's config: :func:`standardize`,
+    then :func:`match`."""
+    return match(gallery, standardize(gallery, feature, probe_path), probe_path, true_subject)
 
 
 def _check_config(gallery: Gallery, config: RunConfig) -> None:
@@ -195,21 +216,34 @@ def rank_accuracy(results: list[MatchResult], r: int) -> float:
     return sum((res.correct_rank or r + 1) <= r for res in results) / len(results)
 
 
+def _standardized_probe(
+    path: str, configs: list[RunConfig], keypoints_dir: str | None, galleries: list[list[Gallery]]
+) -> list[list[np.ndarray]]:
+    """The feature of ``path`` under each of ``configs``, :func:`standardize`d
+    for every gallery of its group: k floats a gallery, which is all a pool
+    worker sends back."""
+    features = _extract_all(path, configs, keypoints_dir)
+    return [[standardize(g, f, path) for g in group] for f, group in zip(features, galleries)]
+
+
 def _rank_probes(
     records: list[ManifestRecord], configs: list[RunConfig], galleries: list[list[Gallery]],
     keypoints_dir: str | None, jobs: int | None,
 ) -> list[list[list[MatchResult]]]:
     """:func:`rank` every gallery of ``galleries[j]`` against each probe's
-    feature under ``configs[j]`` as it arrives, in probe order, the probes
-    extracted as in :func:`enroll`. Results are nested as ``galleries``."""
+    feature under ``configs[j]``, in probe order, the probes extracted as in
+    :func:`enroll`. Each probe is standardized where it is extracted, in a
+    pool worker but for the first, and matched here as it arrives. Results
+    are nested as ``galleries``."""
     results: list[list[list[MatchResult]]] = [[[] for _ in group] for group in galleries]
-    paths = [r.path for r in records]
-    extracted = parallel.imap(_extract_all, paths, configs, keypoints_dir, jobs=jobs)
+    extracted = parallel.imap(
+        _standardized_probe, [r.path for r in records], configs, keypoints_dir, galleries, jobs=jobs
+    )
     with contextlib.closing(extracted):
-        for rec, features in zip(records, extracted):
-            for feature, group, group_results in zip(features, galleries, results):
-                for gallery, gallery_results in zip(group, group_results):
-                    gallery_results.append(rank(gallery, feature, rec.path, rec.subject_id))
+        for rec, probe in zip(records, extracted):
+            for zs, group, group_results in zip(probe, galleries, results):
+                for z, gallery, gallery_results in zip(zs, group, group_results):
+                    gallery_results.append(match(gallery, z, rec.path, rec.subject_id))
     return results
 
 
@@ -224,8 +258,10 @@ def evaluate(
     appearance order.
 
     The probes are extracted as :func:`enroll` extracts the gallery, in
-    ``jobs`` worker processes, and each is ranked as its feature arrives,
-    in probe order. The rows do not depend on ``jobs``."""
+    ``jobs`` worker processes, and each is projected and z-scored
+    (:func:`standardize`) where it was extracted. Only that vector comes
+    back, and it is matched as it arrives, in probe order. The rows do not
+    depend on ``jobs``."""
     if not records:
         raise ManifestError("evaluate needs at least one probe record")
     _check_config(gallery, config)
@@ -254,8 +290,9 @@ def sweep(
     blocks embedded in one split. Within it, configs with the same feature
     fingerprint (they differ only in ``k_requested``) share one feature of
     each image. Gallery and probes are extracted as in :func:`enroll`, in
-    ``jobs`` worker processes; each row's gallery is fitted once, and each
-    probe ranked against it."""
+    ``jobs`` worker processes. Each row's gallery is fitted once, here, and
+    each probe is standardized for every gallery of its group where it was
+    extracted, as in :func:`evaluate`, then matched here."""
     _check_gallery_size(gallery_records)
     if not probe_records:
         raise ManifestError("sweep needs at least one probe record")

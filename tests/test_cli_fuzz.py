@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lglg import pipeline
 from lglg.cli import main
 from lglg.config import CONFIG_BLOCK_SIZE, RunConfig
 from lglg.formats import write_pgm
@@ -217,3 +218,58 @@ def test_model_with_extreme_mean_is_one_line(files, capsys):
     model.write_bytes(with_crc(body[:mean_at] + struct.pack("<d", 1e300) + body[mean_at + 8:]))
     err = fails_with_one_line(capsys, ["identify", "--model", str(model), "--image", files["probe"]])
     assert "matching overflows" in err
+    # evaluate's first probe is files["probe"], standardized in process
+    for jobs in (["--jobs", "1"], []):
+        assert fails_with_one_line(capsys, evaluate_argv(files, model, files["probes"]) + jobs) == err
+
+
+def evaluate_argv(files, model, manifest):
+    return ["evaluate", "--model", str(model), "--manifest", str(manifest),
+            "--out", str(files["root"] / "never.csv")]
+
+
+def same_line_in_a_worker(files, capsys, model, bad_probe):
+    """The line ``identify`` of ``bad_probe`` fails with: ``evaluate`` of
+    the first probe, ``bad_probe`` and the last gives it at ``--jobs 1`` and
+    by default, where pool workers standardize all but the first."""
+    manifest = files["root"] / "bad_second.csv"
+    last = open(files["probes"], encoding="utf-8").read().splitlines()[3].split(",")[0]
+    manifest.write_text(f"path,subject_id,subset\n{files['probe']},s0,p\n{bad_probe},s1,p\n"
+                        f"{last},s2,p\n")
+    err = fails_with_one_line(capsys, ["identify", "--model", str(model), "--image", str(bad_probe)])
+    assert err.startswith(f"error: data: {bad_probe}: ")
+    for jobs in (["--jobs", "1"], []):
+        assert fails_with_one_line(capsys, evaluate_argv(files, model, manifest) + jobs) == err
+    return err
+
+
+def test_probe_that_overflows_only_in_a_worker_is_one_line(files, capsys):
+    # one basis entry so large that the second probe's projection overflows
+    # when it is z-scored, and the first probe's, whose feature differs far
+    # less from the mean there, does not
+    model = files["root"] / "model.bin"
+    model.write_bytes(files["model"])
+    gallery = pipeline.load_model(str(model))
+    bad_probe = open(files["probes"], encoding="utf-8").read().splitlines()[2].split(",")[0]
+    config, mean = gallery.config, gallery.model.train_mean
+    good, bad = (np.abs(pipeline.extract_feature(path, config) - mean)
+                 for path in (files["probe"], bad_probe))
+    ratio = bad / np.where(good == 0, np.inf, good)
+    j = int(np.argmax(ratio))
+    assert ratio[j] > 100
+    basis = gallery.model.basis.copy()
+    basis[j, 0] = 1.9e154 / np.sqrt(good[j] * bad[j])  # |y0| about 1.9e154 between the two
+    extreme = files["root"] / "extreme_basis.bin"
+    pipeline.save_model(dataclasses.replace(
+        gallery, model=dataclasses.replace(gallery.model, basis=basis)), str(extreme))
+    err = same_line_in_a_worker(files, capsys, extreme, bad_probe)
+    assert "matching overflows" in err
+
+
+def test_probe_of_another_size_is_one_line(files, capsys):
+    small = files["root"] / "small_probe.pgm"
+    write_pgm(str(small), np.random.default_rng(1).integers(0, 256, (24, 24)))
+    model = files["root"] / "model.bin"
+    model.write_bytes(files["model"])
+    err = same_line_in_a_worker(files, capsys, model, small)
+    assert "feature length" in err

@@ -4,12 +4,14 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from conftest import other_threads, split_helpers
 from lglg import parallel
+from lglg.errors import ExtractionError
 from lglg.parallel import split
 
 
@@ -213,6 +215,119 @@ class TestParkedHelpers:
             return split(lambda a, b: (a, b, threading.current_thread() is me), 4)
 
         assert split(outer, 2) == [[(0, 2, True), (2, 4, False)], [(0, 2, True), (2, 4, True)]]
+
+
+class Items(list):
+    """A list that a weakref can point at."""
+
+
+class Marker:
+    pass
+
+
+class TestImap:
+    """The pool of :func:`parallel.imap` on two real forked workers: one per
+    core at two cores, forced here so that one core also runs a pool."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel, "AFFINITY", 2)
+
+    def test_runs_a_closure_the_caller_then_holds_no_reference_to(self):
+        # a closure does not pickle, so the workers get it through the fork;
+        # once the iterator ends nothing of the call is left here
+        offset = Marker()
+        offset.value = 1000
+        items = Items(range(30))
+        fn = lambda item, extra: (item + offset.value + extra.value, os.getpid())  # noqa: E731
+        extra = Marker()
+        extra.value = 5
+        refs = [weakref.ref(x) for x in (fn, items, extra)]
+        out = list(parallel.imap(fn, items, extra, jobs=2))
+        assert [v for v, _ in out] == [i + 1005 for i in range(30)]
+        pids = {pid for _, pid in out}
+        assert out[0][1] == os.getpid() and len(pids - {os.getpid()}) == 2
+        del fn, items, extra, offset, out
+        assert [r() for r in refs] == [None] * 3
+
+    def test_closing_early_holds_no_reference_and_cancels_the_ranges_left(self, tmp_path):
+        # 199 items left, the first 22 ranges of 8. Items after the first
+        # range wait for a gate, so while the iterator is closed only the
+        # ranges already running or queued for a worker can run; the rest
+        # are cancelled
+        gate = tmp_path / "gate"
+        items = Items(range(200))
+        first_range = parallel._ranges(len(items), 2)[0]
+
+        def fn(item, marks):
+            if item >= first_range[1]:
+                while not gate.exists():
+                    time.sleep(0.005)
+            (marks / str(item)).touch()
+            return item
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        refs = [weakref.ref(fn), weakref.ref(items)]
+        extracted = parallel.imap(fn, items, marks, jobs=2)
+        assert [next(extracted) for _ in range(first_range[1])] == list(range(first_range[1]))
+        opener = threading.Timer(0.3, gate.touch)
+        opener.start()
+        extracted.close()
+        opener.join()
+        ran = sorted(int(m.name) for m in marks.iterdir())
+        assert ran == list(range(len(ran))) and first_range[1] < len(ran) < 100
+        del fn, items, extracted
+        assert [r() for r in refs] == [None] * 2
+
+    def test_holds_the_results_of_no_range_already_yielded(self):
+        # 99 items left, in 19 ranges of 1 to 8: the caller drops each
+        # result as it reads it, and then at most one range's are still alive
+        refs = []
+        alive = []
+        for marker in parallel.imap(lambda item: Marker(), list(range(100)), jobs=2):
+            refs.append(weakref.ref(marker))
+            del marker
+            alive.append(sum(r() is not None for r in refs))
+        assert len(refs) == 100 and max(alive) <= parallel.RANGE_ITEMS
+
+    def test_results_come_back_in_order_from_ranges_that_finish_out_of_order(self):
+        # the first range is slow, so the other worker finishes later
+        # ranges before it
+        def fn(item):
+            if item == 1:
+                time.sleep(0.3)
+            return item * item
+
+        assert list(parallel.imap(fn, list(range(40)), jobs=2)) == [i * i for i in range(40)]
+
+    def test_first_error_in_item_order_after_the_results_before_it(self):
+        def fn(item):
+            if item in (7, 20):
+                raise ValueError(f"item {item}")
+            return item
+
+        out = []
+        with pytest.raises(ValueError, match="^item 7$") as exc:
+            out.extend(parallel.imap(fn, list(range(40)), jobs=2))
+        assert out == list(range(7))
+        # its cause is the worker's traceback
+        cause = exc.value.__cause__
+        assert isinstance(cause, parallel.WorkerTraceback)
+        assert 'raise ValueError(f"item {item}")' in str(cause)
+
+    def test_a_dead_worker_names_the_first_item_of_the_range_it_lost(self):
+        # item 1 begins the first range; its worker dies running it
+        def fn(item):
+            if item == 1:
+                os._exit(9)
+            return item
+
+        out = []
+        with pytest.raises(ExtractionError, match="^img1.pgm: ") as exc:
+            out.extend(parallel.imap(lambda i: fn(int(i[3:-4])), [f"img{i}.pgm" for i in range(20)],
+                                     jobs=2))
+        assert out == [0] and isinstance(exc.value.cause, BrokenProcessPool)
 
 
 def run_child(code: str) -> subprocess.CompletedProcess:

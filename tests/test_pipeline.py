@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -133,15 +134,18 @@ class TestPgm:
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and the start
-    method, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the start
+    method and each range task, and runs the initializer and then each
+    range in-process."""
 
     max_workers: list[int] = []
     start_methods: list[str] = []
+    ranges: list[tuple[int, int]] = []
 
-    def __init__(self, max_workers, mp_context=None, initializer=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
         RecordingExecutor.max_workers.append(max_workers)
         RecordingExecutor.start_methods.append(mp_context.get_start_method())
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -149,8 +153,11 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        RecordingExecutor.ranges.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestJobsClamp:
@@ -158,9 +165,13 @@ class TestJobsClamp:
     def recorded(self, monkeypatch):
         RecordingExecutor.max_workers = []
         RecordingExecutor.start_methods = []
+        RecordingExecutor.ranges = []
         # parallel.imap imports the executor when it starts a pool
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(parallel, "AFFINITY", 4)
+        # the stand-in runs the worker's initializer in this process
+        monkeypatch.setattr(parallel, "CORES", parallel.CORES)
+        monkeypatch.setattr(parallel, "_work", None)
         return RecordingExecutor.max_workers
 
     @pytest.mark.parametrize(
@@ -178,6 +189,43 @@ class TestJobsClamp:
         assert list(extracted) == [p + "!" for p in paths]
         assert recorded == expected
         assert RecordingExecutor.start_methods == ["fork"] * len(expected)
+
+    @pytest.mark.parametrize("n_paths", [2, 3, 5, 9, 10, 34, 67, 100, 201])
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_ranges_cover_the_items_left(self, recorded, n_paths, jobs):
+        # in order after the first item; each of 1 to 8 items and at most
+        # half a worker's share of the items left where it starts, rounded
+        # up, so that sizes never grow and the last range holds one item
+        paths = [f"img{i}.pgm" for i in range(n_paths)]
+        assert list(parallel.imap(str.upper, paths, jobs=jobs)) == [p.upper() for p in paths]
+        ranges = RecordingExecutor.ranges
+        if n_paths == 2:
+            assert ranges == []
+            return
+        workers = min(jobs, n_paths - 1)
+        sizes = [hi - lo for lo, hi in ranges]
+        assert ranges[0][0] == 1 and ranges[-1][1] == n_paths
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert sizes == [min(8, -(-(n_paths - lo) // (2 * workers))) for lo, _ in ranges]
+        assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 1
+
+    def test_range_stops_at_its_first_error(self, recorded):
+        # 9 items left: items 1-3 are the first range. Item 2 fails, so item
+        # 3 never runs, and item 2's error is raised after items 0 and 1 (the
+        # stand-in runs every range as it is submitted)
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            if item == 2:
+                raise ValueError("item 2")
+            return item
+
+        out = []
+        with pytest.raises(ValueError, match="item 2"):
+            out.extend(parallel.imap(fn, list(range(10)), jobs=2))
+        assert RecordingExecutor.ranges[0] == (1, 4)
+        assert out == [0, 1] and calls == [0, 1, 2, 4, 5, 6, 7, 8, 9]
 
     def test_closing_after_the_first_item_starts_no_pool(self, recorded):
         calls = []
@@ -286,11 +334,14 @@ class TestPool:
         assert (str(err), err.path, str(err.cause)) == ("a.pgm: bad", "a.pgm", "bad")
 
     def test_initializer_sets_one_core(self, monkeypatch, blas_threads):
-        # and leaves OpenBLAS at the one thread the forked worker inherits
+        # and leaves OpenBLAS at the one thread the forked worker inherits;
+        # the call's work is kept for its ranges
         monkeypatch.setattr(parallel, "CORES", 2)
-        parallel._one_core()
+        monkeypatch.setattr(parallel, "_work", None)
+        parallel._start_worker(lambda item, suffix: item + suffix, ["a", "b", "c"], ("!",))
         assert parallel.CORES == 1
         assert blas_threads() == 1
+        assert parallel._run_range(1, 3) == (["b!", "c!"], None, None)
 
     @pytest.mark.parametrize("failure", ["no library", "not a library", "no symbol"])
     def test_initializer_is_a_no_op_when_lookup_fails(self, tmp_path, monkeypatch, failure):
@@ -305,7 +356,8 @@ class TestPool:
         assert parallel._find_openblas() is None
         monkeypatch.setattr(parallel, "_OPENBLAS", None)
         monkeypatch.setattr(parallel, "CORES", 2)
-        assert parallel._one_core() is None
+        monkeypatch.setattr(parallel, "_work", None)
+        assert parallel._start_worker(str, [], ()) is None
         assert parallel.split(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
 
     def test_pool_worker_runs_one_core(self):
@@ -348,6 +400,95 @@ class TestPool:
         configs = [dataclasses.replace(default_config, block_size=b, k_requested=5) for b in (11, 15)]
         accs = [pipeline.sweep(gallery_records, probe_records, configs, jobs=jobs) for jobs in (1, 2)]
         assert accs[0] == accs[1]
+
+    @pytest.mark.parametrize("command", ["enroll", "evaluate", "sweep"])
+    def test_dead_worker_is_one_line(
+        self, benchmark_dataset, benchmark_gallery, tmp_path, monkeypatch, capsys, command
+    ):
+        # the worker that takes the second image dies as if killed; its range
+        # is the first, so the first lost. For sweep it is the second probe,
+        # after the gallery's pool has finished
+        monkeypatch.setattr(parallel, "AFFINITY", 2)
+        gallery_manifest, probe_manifest = benchmark_dataset
+        victim = load_manifest(gallery_manifest if command == "enroll" else probe_manifest)[1].path
+
+        def dying(path, configs, keypoints_dir):
+            if path == victim and os.getpid() != _TEST_PID:
+                os._exit(9)
+            return _EXTRACT_ALL(path, configs, keypoints_dir)
+
+        monkeypatch.setattr(pipeline, "_extract_all", dying)
+        (tmp_path / "run.cfg").write_text("k_requested=5\n")
+        (tmp_path / "grid.txt").write_text("k_requested=5,50\n")
+        save_model(benchmark_gallery, str(tmp_path / "model.bin"))
+        out = ["--out", str(tmp_path / "out"), "--jobs", "2"]
+        argv = {
+            "enroll": ["enroll", "--config", str(tmp_path / "run.cfg"), "--manifest", gallery_manifest],
+            "evaluate": ["evaluate", "--model", str(tmp_path / "model.bin"), "--manifest", probe_manifest],
+            "sweep": ["sweep", "--config", str(tmp_path / "run.cfg"), "--grid", str(tmp_path / "grid.txt"),
+                      "--gallery-manifest", gallery_manifest, "--probe-manifest", probe_manifest],
+        }[command]
+        assert main(argv + out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: data: {victim}: "), err
+        assert not (tmp_path / "out").exists()
+
+
+def _ranking_bytes(results) -> list[str]:
+    """Each result's probe, subject and ranking, distances as exact reprs."""
+    return [repr((r.probe, r.true_subject, r.ranking)) for r in results]
+
+
+class TestRankingsAcrossJobs:
+    """evaluate and sweep rank every probe alike, ids and distances bit for
+    bit, whether the probes are standardized in process or in pool workers,
+    and as identify ranks it in process."""
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        """Calls ``call`` and returns the results each rank_accuracy saw."""
+        monkeypatch.setattr(parallel, "AFFINITY", 2)
+        real = pipeline.rank_accuracy
+
+        def ranked(call):
+            seen = []
+
+            def spy(results, r):
+                seen.append(_ranking_bytes(results))
+                return real(results, r)
+
+            monkeypatch.setattr(pipeline, "rank_accuracy", spy)
+            try:
+                call()
+            finally:
+                monkeypatch.setattr(pipeline, "rank_accuracy", real)
+            return seen
+
+        return ranked
+
+    def test_evaluate(self, ranked, benchmark_gallery, benchmark_dataset, default_config):
+        probes = load_manifest(benchmark_dataset[1])
+        runs = [ranked(lambda: pipeline.evaluate(benchmark_gallery, probes, default_config, jobs=jobs))
+                for jobs in (1, 2)]
+        expected = _ranking_bytes(identify(benchmark_gallery, r.path, default_config, true_subject=r.subject_id)
+                                  for r in probes)
+        # rank1 and rank5 of one subset
+        assert runs[0] == runs[1] == [expected, expected]
+
+    def test_sweep_group_of_two_galleries(self, ranked, benchmark_dataset, default_config):
+        # k_requested=5 and 50 share one feature fingerprint: each probe is
+        # extracted once and standardized for both galleries
+        gallery_records, probes = map(load_manifest, benchmark_dataset)
+        configs = [dataclasses.replace(default_config, k_requested=k) for k in (5, 50)]
+        runs = [ranked(lambda: pipeline.sweep(gallery_records, probes, configs, jobs=jobs))
+                for jobs in (1, 2)]
+        expected = []
+        for config in configs:
+            gallery = pipeline.enroll(gallery_records, config, jobs=1)
+            expected.append(_ranking_bytes(identify(gallery, r.path, config, true_subject=r.subject_id)
+                                           for r in probes))
+        assert expected[0] != expected[1]
+        assert runs[0] == runs[1] == expected
 
 
 def _worker_cores(path):
