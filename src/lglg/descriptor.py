@@ -5,8 +5,9 @@ the box that its blocks cover; blocks (regular grid or keypoint-centred)
 index into it, each block yielding a Gaussian over its per-pixel
 subband-magnitude vectors, embedded into flat space and half-vectorized.
 Configs that differ only in block settings share one stack of an image,
-and one split of their blocks, through the :class:`ImageCache` that the
-caller builds for that image.
+and one split of their blocks, in the first :func:`image_feature` call of
+their group on the :class:`ImageCache` that the caller builds for that
+image; the stack lives only through that call.
 
 :func:`block_features` splits an image's block list across cores once;
 OpenBLAS runs one thread throughout (:mod:`lglg.parallel`). The helper
@@ -53,17 +54,13 @@ class GaussianDescriptor:
 class ImageCache:
     """What the extractions of one image under ``configs`` share. The
     caller builds it for the image, fills in ``image`` and ``keypoints``
-    once, and passes it to each extraction. :func:`subbands` keeps one
-    subband stack in it, ``planes`` under ``subband_key`` (its settings and
-    window), and a new stack replaces it; :func:`image_feature` keeps the
+    once, and passes it to each extraction. :func:`image_feature` keeps the
     ``features`` it computed, by feature fingerprint, those of later calls
-    among them."""
+    among them; no subband stack is kept."""
 
     configs: list[RunConfig]
     image: np.ndarray | None = None
     keypoints: list[tuple[float, float]] | None = None
-    subband_key: tuple | None = None
-    planes: np.ndarray | None = None
     features: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -151,34 +148,22 @@ def block_feature(g: GaussianDescriptor) -> np.ndarray:
     return spd.half_vectorize(spd.embed_gaussian(g.mu, g.cov))
 
 
-def _subband_key(config: RunConfig) -> tuple:
+def subband_key(config: RunConfig) -> tuple:
+    """The settings that a subband stack depends on: configs with equal
+    keys form one subband group."""
     return config.preprocess_params(), config.gabor_params()
 
 
 def subbands(
-    image: np.ndarray,
-    config: RunConfig,
-    cache: ImageCache | None = None,
-    window: tuple[int, int, int, int] | None = None,
+    image: np.ndarray, config: RunConfig, window: tuple[int, int, int, int] | None = None
 ) -> np.ndarray:
     """Preprocess, then Gabor-decompose: the (d, h, w) magnitude stack of
     the image, or of its (top, left, bottom, right) ``window``
     (:func:`lglg.gabor.decompose`). It depends only on
-    ``config.preprocess_params()``, ``config.gabor_params()`` and the
-    window; block settings act after it.
-
-    A repeat call with the same settings, window and ``cache`` returns the
-    stack kept in it, and a new stack replaces the kept one."""
-    pre_params, gabor_params, _ = key = (*_subband_key(config), window)
-    if cache is not None and cache.subband_key == key:
-        return cache.planes
-    # before the image is preprocessed or the bank built, which a large
-    # image or window_len would allocate first
-    check_fits(np.shape(image), gabor_params)
-    planes = decompose(preprocess_chain(image, pre_params), build_bank(gabor_params), window=window)
-    if cache is not None:
-        cache.subband_key, cache.planes = key, planes
-    return planes
+    :func:`subband_key` and the window; block settings act after it. Each
+    call computes the stack anew."""
+    pre_params, gabor_params = subband_key(config)
+    return decompose(preprocess_chain(image, pre_params), build_bank(gabor_params), window=window)
 
 
 def _block_rects(
@@ -300,10 +285,10 @@ def image_feature(
     cache = ImageCache([config]) if cache is None else cache
     fingerprint = config.feature_fingerprint()
     if fingerprint not in cache.features:
-        key = _subband_key(config)
+        key = subband_key(config)
         group = {fingerprint: config}
         for c in cache.configs:
-            if _subband_key(c) == key and c.feature_fingerprint() not in cache.features:
+            if subband_key(c) == key and c.feature_fingerprint() not in cache.features:
                 group.setdefault(c.feature_fingerprint(), c)
         shape = np.shape(image)
         for c in group.values():
@@ -313,6 +298,6 @@ def image_feature(
         window = _union_window(shape, parts)
         top, left = window[:2]
         parts = [(c, [(t - top, l - left) for t, l in rects]) for c, rects in parts]
-        planes = subbands(image, config, cache, window=window)
+        planes = subbands(image, config, window=window)
         cache.features.update(zip(group, _block_features(planes, parts)))
     return cache.features[fingerprint]

@@ -3,14 +3,11 @@
 :func:`decompose` filters by FFT: one real FFT of the padded image, times
 each kernel part's cached spectrum (:func:`kernel_spectra`, at the size
 :func:`fft_shape` gives), then the inverse FFT and one ``hypot`` per
-kernel. Only a window of the planes is computed, the box that the blocks
-read: the row inverse runs on its rows alone, with 1/N applied inside it,
-and ``hypot`` reads its columns. The products go through the inverse FFT
-in stacks of kernel parts of at most ``STACK_BYTES``, so small images make
-few, large numpy calls and large ones keep each call's buffers within the
-cache. The planes are bitwise those of two ``scipy.signal.fftconvolve``
-calls per kernel, cut to the window, whatever the window, the stacks and
-the thread split.
+kernel, one kernel per pass. Only a window of the planes is computed, the
+box that the blocks read: the row inverse runs on its rows alone, with 1/N
+applied inside it, and ``hypot`` reads its columns. The planes are bitwise
+those of two ``scipy.signal.fftconvolve`` calls per kernel, cut to the
+window, whatever the window and the thread split.
 """
 
 from __future__ import annotations
@@ -25,18 +22,6 @@ from numpy.fft import _pocketfft_umath
 from .errors import ConfigError, ImageTooLarge, ImageTooSmall, LglgError
 from .parallel import split
 from .preprocess import symmetric_index
-
-#: Bytes of kernel-part products that :func:`decompose` sends through one
-#: inverse FFT call: a stack holds the most whole kernels whose two parts
-#: fit, or, where one kernel's parts do not, one part. Each part of an
-#: (F0, F1) FFT takes F0*(F1//2 + 1)*16 bytes: 52 KB at 64x64, so a call
-#: takes 4 parts, and from 168 KB at 128x128 one part. Each thread keeps
-#: its product and column-inverse buffers of one call's parts, and its
-#: row-inverse buffer of one stack's window rows, for all of its stacks.
-#: On one thread of a 2-vCPU VM (2 MB L2 per core), 384 and 512 KB
-#: budgets made a 64x64 decompose 5 % and 22 % slower than 256 KB, and
-#: 512 KB a 48x48 one 45 % (measured before the window and the buffers).
-STACK_BYTES = 256 * 1024
 
 #: Largest bank a config or model file may ask for; the paper's is 8x5 and
 #: the default 8x4. The cached kernel spectra take U*V*2*16 bytes per FFT
@@ -249,19 +234,17 @@ def decompose(
     is the oracle of the whole image.
 
     One real FFT of the whole padded image is multiplied by each cached
-    kernel spectrum. The products go through the inverse FFT in stacks of
-    kernel parts, as many as fit in ``STACK_BYTES`` (at least one), one
-    call per pass: columns, then only the window's rows, with 1/N applied
-    inside the row inverse. One ``hypot`` per stack reads the window's
-    columns into its planes. Each thread reuses one set of buffers for
-    these passes across its stacks.
+    kernel spectrum, one kernel's two parts per pass. The pass runs the
+    inverse FFT over the columns in place, then over only the window's
+    rows, with 1/N applied inside the row inverse, and one ``hypot`` reads
+    the window's columns into the kernel's plane. Each thread reuses one
+    product and one row buffer across its kernels.
     The FFTs go through numpy's pocketfft; FFT length, product order,
     normalization and output slice are those of
     ``scipy.signal.fftconvolve(padded, flipped_kernel, "valid")``, so each
     plane stays bitwise equal to two such convolutions.
     The planes are split across cores (:func:`lglg.parallel.split`); each
-    is computed whole by one thread, so the stack does not depend on the
-    split.
+    is computed whole by one thread, so no plane depends on the split.
     """
     image = np.asarray(image, dtype=np.float64)
     check_fits(image.shape, bank.params)
@@ -279,30 +262,21 @@ def decompose(
     rows = slice(wl - 1 + top, wl - 1 + bottom)
     cols = slice(wl - 1 + left, wl - 1 + right)
     spectra = kernel_spectra(bank.params, fshape)
-    parts = spectra.reshape(-1, *spectrum.shape)  # kernel p's parts at 2p, 2p + 1
     # scipy's backward norm: one multiply by 1/N in the last pass (numpy's
     # default norm scales once per axis); 1/N rounded from double equals
     # scipy's from long double for every 5-smooth N up to 1e12
     scale = 1.0 / (fshape[0] * fshape[1])
-    part = spectrum.nbytes  # one kernel part's product
-    kernels = max(1, STACK_BYTES // (2 * part))  # per stack
-    per_call = 2 * kernels if 2 * part <= STACK_BYTES else 1  # parts
 
     def filter_planes(lo: int, hi: int) -> None:
-        stack = 2 * min(kernels, hi - lo)
-        product = np.empty((min(per_call, stack), *spectrum.shape), dtype=spectrum.dtype)
-        columns = np.empty_like(product)
-        inverse = np.empty((stack, bottom - top, fshape[1]))
-        for p in range(lo, hi, kernels):
-            n = 2 * (min(p + kernels, hi) - p)
-            for i in range(0, n, per_call):
-                j = min(i + per_call, n)
-                np.multiply(spectrum, parts[2 * p + i : 2 * p + j], out=product[: j - i])
-                # the two passes of the inverse real FFT over the last two
-                # axes: columns unscaled, then each kept row on its own
-                np.fft.ifft(product[: j - i], axis=-2, norm="forward", out=columns[: j - i])
-                _irfft(columns[: j - i, rows], scale, axes=[(-1,), (), (-1,)], out=inverse[i:j])
-            np.hypot(inverse[0:n:2, :, cols], inverse[1:n:2, :, cols], out=planes[p : p + n // 2])
+        product = np.empty((2, *spectrum.shape), dtype=spectrum.dtype)
+        inverse = np.empty((2, bottom - top, fshape[1]))
+        for p in range(lo, hi):
+            np.multiply(spectrum, spectra[p], out=product)
+            # the two passes of the inverse real FFT over the last two axes:
+            # columns unscaled and in place, then each kept row on its own
+            np.fft.ifft(product, axis=-2, norm="forward", out=product)
+            _irfft(product[:, rows], scale, axes=[(-1,), (), (-1,)], out=inverse)
+            np.hypot(inverse[0, :, cols], inverse[1, :, cols], out=planes[p])
 
     split(filter_planes, len(planes))
     return planes

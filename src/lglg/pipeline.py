@@ -10,7 +10,7 @@ import numpy as np
 
 from . import parallel
 from .config import MODE_KEYPOINT, RunConfig
-from .descriptor import ImageCache, image_feature
+from .descriptor import ImageCache, image_feature, subband_key
 from .errors import (
     ConfigMismatch, DegenerateTrainingSet, DimensionMismatch, ExtractionError, LglgError,
     ManifestError, MissingGroundTruth, NoResults, NonFinite,
@@ -299,8 +299,8 @@ def sweep(
     # subband settings -> feature fingerprint -> rows
     groups: dict[tuple, dict[str, list[int]]] = {}
     for i, config in enumerate(configs):
-        subband_key = (config.preprocess_params(), config.gabor_params())
-        groups.setdefault(subband_key, {}).setdefault(config.feature_fingerprint(), []).append(i)
+        by_fingerprint = groups.setdefault(subband_key(config), {})
+        by_fingerprint.setdefault(config.feature_fingerprint(), []).append(i)
     gallery_paths = [r.path for r in gallery_records]
     accuracies = [0.0] * len(configs)
     for group in groups.values():

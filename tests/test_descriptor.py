@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -448,11 +449,29 @@ class TestSharingSubbands:
 
     def test_other_settings_recompute_and_replace_the_stack(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))
-        cache = ImageCache([])
         for sigma_pi in (1.0, 1.2, 1.0):
-            planes = subbands(image, RunConfig(sigma_pi=sigma_pi), cache)
+            subbands(image, RunConfig(sigma_pi=sigma_pi))
         assert len(decompose_calls) == 3
-        assert cache.planes is planes
+
+    def test_planes_die_with_their_group(self, rng, monkeypatch):
+        # no group's planes outlive its image_feature call: none is alive
+        # when the next group filters, nor once the calls return
+        image = rng.uniform(0.0, 1.0, (64, 64))
+        configs = [RunConfig(block_size=11), RunConfig(sigma_pi=1.2)]
+        refs, alive = [], []
+
+        def tracking(image, bank, window=None):
+            alive.append(sum(ref() is not None for ref in refs))
+            planes = decompose(image, bank, window=window)
+            refs.append(weakref.ref(planes))
+            return planes
+
+        monkeypatch.setattr(descriptor, "decompose", tracking)
+        cache = ImageCache(configs)
+        for c in configs:
+            image_feature(image, c, cache=cache)
+        assert alive == [0, 0]
+        assert [ref() for ref in refs] == [None, None]
 
     def test_no_sharing_without_a_dict(self, rng, decompose_calls):
         image = rng.uniform(0.0, 1.0, (64, 64))

@@ -167,10 +167,9 @@ def fftconvolve_reference(image, bank):
 
 class TestDecomposeBitwise:
     # FFT lengths (8x4-w9): 80x80, 54x72, 108x54, 120x100, 75x135, so
-    # radices 2, 3 and 5 mixed, and odd lengths; then 180x180 and 288x288,
-    # where a stack holds one kernel part. The 15 kernels of 5x3 fill no
-    # whole number of stacks of two kernels (64x64) or three (37x50). The
-    # 128 kernels of the largest bank, at window 31, check its spectra
+    # radices 2, 3 and 5 mixed, and odd lengths; then 180x180 and 288x288.
+    # The 15 kernels of 5x3 are an odd count, and the 128 kernels of the
+    # largest bank, at window 31, check its spectra
     @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (91, 37), (100, 81), (59, 117),
                                        (160, 160), (256, 256)])
     @pytest.mark.parametrize(
@@ -193,7 +192,7 @@ def union_box(rects, block_size):
 
 class TestDecomposeWindow:
     """A window's planes are the whole image's cut to it, byte for byte,
-    whatever the cores and the stacks."""
+    whatever the cores."""
 
     @pytest.mark.parametrize("shape", [(64, 64), (37, 50), (100, 81)])
     @pytest.mark.parametrize(
@@ -213,12 +212,10 @@ class TestDecomposeWindow:
         for t, l, b, r in windows:
             cut = whole[:, t:b, l:r].tobytes()
             for cores in (1, 2, 3):
-                for stack_bytes in (0, gabor.STACK_BYTES, 2**40):
-                    monkeypatch.setattr(parallel, "CORES", cores)
-                    monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
-                    planes = decompose(image, bank, window=(t, l, b, r))
-                    assert planes.shape == (params.num_subbands, b - t, r - l)
-                    assert planes.tobytes() == cut, ((t, l, b, r), cores, stack_bytes)
+                monkeypatch.setattr(parallel, "CORES", cores)
+                planes = decompose(image, bank, window=(t, l, b, r))
+                assert planes.shape == (params.num_subbands, b - t, r - l)
+                assert planes.tobytes() == cut, ((t, l, b, r), cores)
 
     @pytest.mark.parametrize(
         "window", [(5, 5, 5, 20), (5, 5, 20, 5), (20, 5, 10, 30), (5, 30, 40, 10),
@@ -243,6 +240,18 @@ class TestDecomposeWindow:
         public = np.multiply(np.fft.irfft(rows, n, axis=-1, norm="forward"), scale)
         assert out.tobytes() == public.tobytes()
 
+    @pytest.mark.parametrize("fshape", [(64, 64), (80, 80), (180, 180), (288, 288)])
+    def test_in_place_column_inverse_equals_out_of_place(self, rng, fshape):
+        # decompose's column inverse writes into its input: numpy must give
+        # the bytes of the call that writes elsewhere, at the FFT shapes of
+        # 48², 64², 160² and 256² images under window 9
+        f0, f1 = fshape
+        shape = (2, f0, f1 // 2 + 1)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out_of_place = np.fft.ifft(a, axis=-2, norm="forward")
+        np.fft.ifft(a, axis=-2, norm="forward", out=a)
+        assert a.tobytes() == out_of_place.tobytes()
+
 
 class TestNextFastLen:
     def test_equals_scipy_real_fast_len(self):
@@ -266,49 +275,32 @@ class TestNextFastLen:
 class TestDecomposeCores:
     @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_split_equals_one_thread(self, rng, monkeypatch, cores):
-        # the 15 planes of a 5x3 bank divide by neither 2 nor 4 cores. Each
-        # shape runs with one kernel part per inverse FFT call, then each
-        # thread's whole range in one call
+        # the 15 planes of a 5x3 bank divide by neither 2 nor 4 cores
         bank = build_bank(GaborParams(directions=5, scales=3))
         for shape in [(128, 128), (64, 64), (37, 50)]:
             image = rng.uniform(0.0, 1.0, shape)
             reference = fftconvolve_reference(image, bank).tobytes()
-            for stack_bytes in (0, 2**40):
-                monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
-                monkeypatch.setattr(parallel, "CORES", 1)
-                one = decompose(image, bank).tobytes()
-                monkeypatch.setattr(parallel, "CORES", cores)
-                split = decompose(image, bank).tobytes()
-                assert split == one and split == reference, (shape, stack_bytes)
+            monkeypatch.setattr(parallel, "CORES", 1)
+            one = decompose(image, bank).tobytes()
+            monkeypatch.setattr(parallel, "CORES", cores)
+            split = decompose(image, bank).tobytes()
+            assert split == one and split == reference, shape
 
-    # one kernel part of a 64x64 image's 80x80 FFT: 80 * 41 complex values
-    PART_64 = 80 * 41 * 16
-
-    @pytest.mark.parametrize(
-        "shape, stack_bytes, calls",
-        [((64, 64), None, [4] * 7 + [2]),  # 4.99 parts fit: two kernels a stack
-         ((64, 64), 3 * PART_64, [2] * 15),  # 3 parts: one kernel
-         ((64, 64), PART_64, [1] * 30),  # 1 part: one kernel, its parts apart
-         ((64, 64), 0, [1] * 30),  # none: still one part
-         ((64, 64), 2**40, [30]),  # all of them: the whole range
-         ((160, 160), None, [1] * 30),  # 180x180 FFT, 262080 bytes a part
-         ((256, 256), None, [1] * 30)],
-        ids=["64-default", "64-three-parts", "64-one-part", "64-zero", "64-whole-range",
-             "160-default", "256-default"],
-    )
-    def test_parts_per_call_follow_stack_bytes(self, monkeypatch, shape, stack_bytes, calls):
-        # the leading length of every column transform, on one thread, for
-        # the 15 kernels of a 5x3 bank
+    @pytest.mark.parametrize("size", [48, 64, 160, 256])
+    def test_one_kernel_per_pass(self, monkeypatch, size):
+        # on one thread, the 15 kernels of a 5x3 bank: one column transform
+        # per kernel, of its two parts, written into its input
         monkeypatch.setattr(parallel, "CORES", 1)
-        if stack_bytes is not None:
-            monkeypatch.setattr(gabor, "STACK_BYTES", stack_bytes)
-        leading = []
+        calls = []
         ifft = np.fft.ifft
-        monkeypatch.setattr(
-            np.fft, "ifft", lambda a, **kw: leading.append(a.shape[0]) or ifft(a, **kw)
-        )
-        decompose(np.zeros(shape), build_bank(GaborParams(directions=5, scales=3)))
-        assert leading == calls
+
+        def recording(a, **kw):
+            calls.append((a.shape[0], kw.get("out") is a))
+            return ifft(a, **kw)
+
+        monkeypatch.setattr(np.fft, "ifft", recording)
+        decompose(np.zeros((size, size)), build_bank(GaborParams(directions=5, scales=3)))
+        assert calls == [(2, True)] * 15
 
 
 class TestCaches:

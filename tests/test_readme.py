@@ -26,7 +26,7 @@ PROSE = re.sub(r"^```.*?^```", "", README, flags=re.M | re.S)  # fenced blocks o
 SPANS = re.findall(r"`([^`\n]+)`", PROSE)
 MODULES = {m.name for m in pkgutil.iter_modules(lglg.__path__)}
 
-# `lglg.formats.save_model`, or `gabor.STACK_BYTES` with the package left out
+# `lglg.formats.save_model`, or `gabor.MAX_FILTER_BYTES` with the package left out
 DOTTED = re.compile(r"(?<![\w.])(?:lglg\.(\w+)((?:\.\w+)*)|(\w+)((?:\.\w+)+))")
 
 
